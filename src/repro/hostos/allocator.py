@@ -56,7 +56,23 @@ class OutOfMemoryError(Exception):
 
 
 class PageAllocator:
-    """Frame allocation under one of the isolation policies."""
+    """Frame allocation under one of the isolation policies.
+
+    Allocation is first fit: the lowest-numbered admissible free frame
+    wins.  The allocator is incremental, so a probe is a few lookups:
+
+    * each frame's rows (and, under bank partitioning, its banks) are
+      translated once and cached; only frames released by the
+      subarray-isolated mapper, which may place them elsewhere next
+      time, drop their entry;
+    * free frames are a one-byte-per-frame map, scanned in ascending
+      order by ``bytearray.find`` (in C);
+    * under guard rows, a per-row map of the domains with data within
+      ``guard_radius`` rows (subarray-clipped, as
+      :meth:`~repro.dram.geometry.DramGeometry.neighbors_within`) is kept
+      up to date on take, free and retire, so admissibility and
+      :meth:`capacity_overhead` never re-translate a frame.
+    """
 
     def __init__(
         self,
@@ -68,15 +84,21 @@ class PageAllocator:
         self.policy = policy
         self.guard_radius = guard_radius
         self._owner: Dict[int, int] = {}  # frame -> asid
-        self._free: Set[int] = set(range(mapper.total_frames))
+        # one byte per frame, 1 while free (8 KB at 8,192 frames, where
+        # a set of the free frame numbers takes about 750 KB)
+        self._free = bytearray(b"\x01") * mapper.total_frames
         self._bank_owner: Dict[int, int] = {}  # flat bank -> asid (partition)
         # row_key -> {asid: number of allocated frames with data in the
         # row} — reference counts so free() can retract attribution.
         self._row_domains: Dict[RowKey, Dict[int, int]] = {}
-        # frame -> rows memo (a frame's placement is stable while it is
-        # known here; invalidated on free, when subarray mappers may
-        # re-place the frame)
+        # guard rows: row_key -> {asid: rows within guard_radius of it
+        # (itself included) holding that domain's data}
+        self._guarded: Dict[RowKey, Dict[int, int]] = {}
+        # frame -> rows / banks memos: a frame's placement is stable
+        # until the subarray mapper releases it, and bank partitioning
+        # never runs on that mapper
         self._frame_rows: Dict[int, FrozenSet[RowKey]] = {}
+        self._frame_banks: Dict[int, FrozenSet[int]] = {}
         # frames permanently taken out of service (remap audit, §4.1)
         self._retired: Set[int] = set()
         self._validate_policy()
@@ -87,6 +109,13 @@ class PageAllocator:
             rows = frozenset(self.mapper.rows_of_frame(frame))
             self._frame_rows[frame] = rows
         return rows
+
+    def _banks_of_frame(self, frame: int) -> FrozenSet[int]:
+        banks = self._frame_banks.get(frame)
+        if banks is None:
+            banks = frozenset(self.mapper.banks_of_frame(frame))
+            self._frame_banks[frame] = banks
+        return banks
 
     # ------------------------------------------------------------------
     # Policy feasibility (the §4.1 conflict, surfaced at construction)
@@ -145,26 +174,18 @@ class PageAllocator:
         asid = self._owner.pop(frame, None)
         if asid is None:
             raise KeyError(f"frame {frame} is not allocated")
-        self._free.add(frame)
-        rows = self._rows_of_frame(frame)
-        self._frame_rows.pop(frame, None)
+        self._free[frame] = 1
+        self._retract(frame, asid)
         if isinstance(self.mapper, SubarrayIsolatedInterleaving):
+            # the slot may be re-placed elsewhere on the next assignment
+            del self._frame_rows[frame]
             self.mapper.release_frame(frame)
-        for row in rows:
-            counts = self._row_domains.get(row)
-            if counts is None:
-                continue
-            counts[asid] -= 1
-            if counts[asid] <= 0:
-                del counts[asid]
-            if not counts:
-                del self._row_domains[row]
         if self.policy is AllocationPolicy.BANK_PARTITION:
             remaining = {
                 bank
                 for other, owner in self._owner.items()
                 if owner == asid
-                for bank in self.mapper.banks_of_frame(other)
+                for bank in self._banks_of_frame(other)
             }
             for bank in list(self._bank_owner):
                 if self._bank_owner[bank] == asid and bank not in remaining:
@@ -173,7 +194,7 @@ class PageAllocator:
             # Release the domain's subarray-group binding once its last
             # frame is gone, so a future tenant can claim the group
             # exclusively.
-            if not any(owner == asid for owner in self._owner.values()):
+            if asid not in self._owner.values():
                 assert isinstance(self.mapper, SubarrayIsolatedInterleaving)
                 self.mapper.unbind_domain(asid)
 
@@ -190,15 +211,7 @@ class PageAllocator:
         asid = self._owner.pop(frame, None)
         if asid is None:
             raise KeyError(f"frame {frame} is not allocated")
-        for row in self._rows_of_frame(frame):
-            counts = self._row_domains.get(row)
-            if counts is None:
-                continue
-            counts[asid] = counts.get(asid, 1) - 1
-            if counts[asid] <= 0:
-                counts.pop(asid, None)
-            if not counts:
-                del self._row_domains[row]
+        self._retract(frame, asid)
         self._retired.add(frame)
 
     @property
@@ -221,7 +234,7 @@ class PageAllocator:
 
     @property
     def free_frames(self) -> int:
-        return len(self._free)
+        return self._free.count(1)
 
     @property
     def allocated_frames(self) -> int:
@@ -229,10 +242,24 @@ class PageAllocator:
 
     def capacity_overhead(self) -> float:
         """Fraction of total frames rendered unusable by the policy so
-        far (guard rows etc.) — 0.0 for policies without waste."""
-        usable = self.mapper.total_frames
-        unusable = sum(1 for f in range(usable) if self._blocked(f))
-        return unusable / usable if usable else 0.0
+        far (guard rows etc.) — 0.0 for policies without waste.
+
+        A free frame is unusable when no domain holding frames could
+        claim it."""
+        total = self.mapper.total_frames
+        if self.policy is not AllocationPolicy.GUARD_ROWS or not total:
+            return 0.0
+        current = set(self._owner.values())
+        unusable = 0
+        if current:
+            admissible = self._guard_admissible
+            free = self._free
+            frame = free.find(1)
+            while frame >= 0:
+                if not any(admissible(frame, asid) for asid in current):
+                    unusable += 1
+                frame = free.find(1, frame + 1)
+        return unusable / total
 
     # ------------------------------------------------------------------
     # Internals
@@ -242,16 +269,18 @@ class PageAllocator:
         self, asid: int, avoid_rows: Optional[FrozenSet[RowKey]] = None
     ) -> int:
         fallback = None
-        for frame in sorted(self._free):
-            if not self._admissible(frame, asid):
-                continue
-            if avoid_rows and any(
-                row in avoid_rows for row in self._rows_of_frame(frame)
-            ):
+        free = self._free
+        admissible = self._admissible
+        frame = free.find(1)
+        while frame >= 0:
+            if admissible(frame, asid):
+                if not avoid_rows or self._rows_of_frame(frame).isdisjoint(
+                    avoid_rows
+                ):
+                    return self._take(frame, asid)
                 if fallback is None:
                     fallback = frame
-                continue
-            return self._take(frame, asid)
+            frame = free.find(1, frame + 1)
         if fallback is not None:
             return self._take(fallback, asid)
         raise OutOfMemoryError(
@@ -262,15 +291,55 @@ class PageAllocator:
         if self.policy is AllocationPolicy.SUBARRAY_AWARE:
             assert isinstance(self.mapper, SubarrayIsolatedInterleaving)
             self.mapper.assign_frame(frame, asid)
-        self._free.discard(frame)
+        self._free[frame] = 0
         self._owner[frame] = asid
         if self.policy is AllocationPolicy.BANK_PARTITION:
-            for bank in self.mapper.banks_of_frame(frame):
+            for bank in self._banks_of_frame(frame):
                 self._bank_owner[bank] = asid
+        guard_rows = self.policy is AllocationPolicy.GUARD_ROWS
         for row in self._rows_of_frame(frame):
             counts = self._row_domains.setdefault(row, {})
-            counts[asid] = counts.get(asid, 0) + 1
+            held = counts.get(asid, 0)
+            counts[asid] = held + 1
+            if guard_rows and not held:
+                self._guard(row, asid, 1)
         return frame
+
+    def _retract(self, frame: int, asid: int) -> None:
+        """Withdraw ``asid``'s attribution of the rows of ``frame``."""
+        guard_rows = self.policy is AllocationPolicy.GUARD_ROWS
+        for row in self._rows_of_frame(frame):
+            counts = self._row_domains.get(row)
+            if counts is None:
+                continue
+            held = counts.get(asid, 1) - 1
+            if held > 0:
+                counts[asid] = held
+                continue
+            if counts.pop(asid, None) is not None and guard_rows:
+                self._guard(row, asid, -1)
+            if not counts:
+                del self._row_domains[row]
+
+    def _guard(self, row: RowKey, asid: int, delta: int) -> None:
+        """``asid`` starts (``delta=1``) or stops (``-1``) holding data in
+        ``row``: update the guard map of every row within the radius."""
+        channel, rank, bank, index = row
+        per_subarray = self.mapper.geometry.rows_per_subarray
+        first = index - index % per_subarray
+        low = max(first, index - self.guard_radius)
+        high = min(first + per_subarray - 1, index + self.guard_radius)
+        guarded = self._guarded
+        for near in range(low, high + 1):
+            key = (channel, rank, bank, near)
+            counts = guarded.setdefault(key, {})
+            held = counts.get(asid, 0) + delta
+            if held:
+                counts[asid] = held
+            else:
+                del counts[asid]
+                if not counts:
+                    del guarded[key]
 
     def _admissible(self, frame: int, asid: int) -> bool:
         if self.policy is AllocationPolicy.DEFAULT:
@@ -284,9 +353,10 @@ class PageAllocator:
                 return True  # binding happens on first assign
             return len(self.mapper._group_slots_free[group]) > 0
         if self.policy is AllocationPolicy.BANK_PARTITION:
+            bank_owner = self._bank_owner
             return all(
-                self._bank_owner.get(bank, asid) == asid
-                for bank in self.mapper.banks_of_frame(frame)
+                bank_owner.get(bank, asid) == asid
+                for bank in self._banks_of_frame(frame)
             )
         if self.policy is AllocationPolicy.GUARD_ROWS:
             return self._guard_admissible(frame, asid)
@@ -294,37 +364,12 @@ class PageAllocator:
 
     def _guard_admissible(self, frame: int, asid: int) -> bool:
         """No row of ``frame`` may lie within ``guard_radius`` rows of a
-        row holding another domain's data (same bank, same subarray)."""
-        geometry = self.mapper.geometry
-        for address in self.mapper.frame_addresses(frame):
-            for neighbor_row in geometry.neighbors_within(
-                address.row, self.guard_radius
-            ):
-                key = (address.channel, address.rank, address.bank, neighbor_row)
-                owners = self._row_domains.get(key)
-                if owners and any(owner != asid for owner in owners):
-                    return False
-            # Rows can be shared between frames under some mappings: the
-            # frame's own rows must also not already hold foreign data.
-            own_key = address.row_key()
-            owners = self._row_domains.get(own_key)
-            if owners and any(owner != asid for owner in owners):
+        row holding another domain's data (same bank, same subarray).
+        Rows can be shared between frames under some mappings, so the
+        frame's own rows count too."""
+        guarded = self._guarded
+        for row in self._rows_of_frame(frame):
+            owners = guarded.get(row)
+            if owners and (len(owners) > 1 or asid not in owners):
                 return False
         return True
-
-    def _blocked(self, frame: int) -> bool:
-        """A free frame no domain could currently claim (pure waste)."""
-        if frame not in self._free:
-            return False
-        if self.policy is not AllocationPolicy.GUARD_ROWS:
-            return False
-        owners = {
-            owner
-            for address in self.mapper.frame_addresses(frame)
-            for row in [address.row_key()]
-            for owner in self._row_domains.get(row, ())
-        }
-        current = set(self._owner.values())
-        return bool(current) and not any(
-            self._guard_admissible(frame, asid) for asid in current
-        )

@@ -149,8 +149,15 @@ class AddressMapper:
         return range(start, start + self.lines_per_page)
 
     def frame_addresses(self, frame: int) -> List[DdrAddress]:
-        """DDR coordinates of every line in ``frame``."""
-        return [self.line_to_ddr(line) for line in self.lines_of_frame(frame)]
+        """DDR coordinates of every line in ``frame``.
+
+        Translated directly, not through the ``line_to_ddr`` memo: frame
+        queries (allocator probes, capacity scans, row sets) would fill
+        the memo with lines no request touches and evict the ones
+        requests do.  Lazy placement of a never-assigned subarray frame
+        still happens, in ``_line_to_ddr_uncached``."""
+        to_ddr = self._line_to_ddr_uncached
+        return [to_ddr(line) for line in self.lines_of_frame(frame)]
 
     def banks_of_frame(self, frame: int) -> Set[int]:
         """Flat bank indices the frame's lines touch."""

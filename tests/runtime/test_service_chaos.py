@@ -29,6 +29,7 @@ from repro.runtime.campaign import run_campaign
 from repro.runtime.queue import DONE, QUEUED, load_queue
 from repro.runtime.service import CampaignService, ServiceConfig
 
+ROOT = Path(__file__).resolve().parents[2]
 SPEC = BenignReplicationSpec(accesses=200, scale=8)
 SEEDS = [101, 102, 103]
 
@@ -56,8 +57,8 @@ def serve_subprocess(root, *extra):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "serve", str(root),
          "--max-inflight", "1", "--no-cache", *extra],
-        cwd="/root/repo",
-        env={**os.environ, "PYTHONPATH": "/root/repo/src"},
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         start_new_session=True,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -87,7 +88,10 @@ class TestWorkerSigkill:
             tmp_path / "svc", config=ServiceConfig(**FAST),
             use_cache=False,
         )
-        admission = service.submit(spec, SEEDS, experiment="chaos")
+        # jobs=1 runs the seeds in the service worker itself, so the
+        # kill takes down the worker rather than a pool child that the
+        # worker's own supervisor would respawn
+        admission = service.submit(spec, SEEDS, experiment="chaos", jobs=1)
         summary = service.serve(drain_and_exit=True)
         assert summary["done"] == 1
         assert summary["service.jobs_requeued"] >= 1
