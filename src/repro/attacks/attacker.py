@@ -9,16 +9,23 @@ machine slowing the loop down or the flips not happening.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.attacks.patterns import AttackPlan
+from repro.cpu.core import LLC_HIT_LATENCY_NS
 from repro.cpu.mmu import TranslationError
 from repro.dram.disturbance import BitFlip
 from repro.mc.controller import MemoryRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import DomainHandle, System
+
+#: Rounds of the frozen column :meth:`Attacker.run` and
+#: :meth:`Attacker.run_rounds` submit per engine call once the hammer
+#: loop is at its fixed point; flips drain after every call.
+CHAIN_ROUNDS = 64
 
 
 @dataclass
@@ -75,50 +82,23 @@ class Attacker:
     # ------------------------------------------------------------------
 
     def run(self, duration_ns: int, start_ns: int = 0) -> AttackResult:
-        """Hammer for ``duration_ns`` of simulated time."""
+        """Hammer for ``duration_ns`` of simulated time: whole rounds,
+        each started while the clock is before the deadline.
+
+        Exact and fast: once the loop reaches its fixed point the
+        rounds run as a dependent chain in the controller's bulk engine
+        (see :meth:`_hammer`), with the same result, metrics and CPU
+        state as running every round through :meth:`_hammer_round`."""
         if duration_ns < 1:
             raise ValueError("duration_ns must be >= 1")
-        self.system.drain_flips()
-        flips: List[BitFlip] = []
-        iterations = 0
-        now = start_ns
-        deadline = start_ns + duration_ns
-        while now < deadline and self.plan.viable:
-            now = self._hammer_round(now)
-            iterations += 1
-            if self.system.has_pending_flips():
-                flips.extend(self.system.drain_flips())
-        return AttackResult(
-            plan=self.plan,
-            hammer_iterations=iterations,
-            started_ns=start_ns,
-            finished_ns=max(now, start_ns),
-            flips=flips,
-        )
+        return self._hammer(start_ns, deadline=start_ns + duration_ns)
 
     def run_rounds(self, rounds: int, start_ns: int = 0) -> AttackResult:
         """Hammer a fixed number of rotation rounds (deterministic work,
-        used by benchmarks)."""
+        used by benchmarks).  Exact and fast, as :meth:`run`."""
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        self.system.drain_flips()
-        flips: List[BitFlip] = []
-        now = start_ns
-        done = 0
-        for _ in range(rounds):
-            if not self.plan.viable:
-                break
-            now = self._hammer_round(now)
-            done += 1
-            if self.system.has_pending_flips():
-                flips.extend(self.system.drain_flips())
-        return AttackResult(
-            plan=self.plan,
-            hammer_iterations=done,
-            started_ns=start_ns,
-            finished_ns=max(now, start_ns),
-            flips=flips,
-        )
+        return self._hammer(start_ns, rounds=rounds)
 
     def run_rounds_columnar(
         self,
@@ -127,7 +107,10 @@ class Attacker:
         rounds_per_batch: int = 128,
         frontend: str = "bulk",
     ) -> AttackResult:
-        """Columnar variant of :meth:`run_rounds` for benchmarks.
+        """Columnar variant of :meth:`run_rounds` for benchmarks, with
+        approximate timing.  :meth:`run` and :meth:`run_rounds` are the
+        exact fast path: they feed the same bulk engine a dependent
+        chain and match the per-access loop to the nanosecond.
 
         ``frontend="scalar"`` is the reference implementation: the cache
         side of every flush+load runs per access — translation,
@@ -162,11 +145,13 @@ class Attacker:
         serial ``done + LLC_HIT_LATENCY_NS`` chain between consecutive
         hammer accesses collapses to the controller's own bank/bus
         serialization within each batch (plus one LLC latency per
-        batch), so finish times differ slightly from :meth:`run_rounds`
-        while ACT counts, defense reactions, and flips follow the same
-        access stream.  DMA plans have no columnar path (DMA bypasses
-        the MC request queue modelled by the batch engine) and delegate
-        to :meth:`run_rounds`, counted in ``mc.columnar_fallbacks``.
+        batch), so finish times differ from :meth:`run_rounds`, and so
+        can ACT interleaving against refresh, defense reactions and
+        flips (8-sided at spacing 2 on lpddr4 against vendor TRR,
+        6,400 rounds: 151 flips here, 1 on the per-access loop).  DMA
+        plans have no columnar path (DMA bypasses the MC request queue
+        modelled by the batch engine) and delegate to
+        :meth:`run_rounds`, counted in ``mc.columnar_fallbacks``.
         """
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -175,18 +160,13 @@ class Attacker:
         system = self.system
         controller = system.controller
         plan = self.plan
-        pairs = self._pairs
-        if pairs is None or self._pairs_plan is not plan:
-            weights = plan.weights or (1,) * len(plan.aggressor_lines)
-            pairs = self._pairs = list(zip(plan.aggressor_lines, weights))
-            self._pairs_plan = plan
+        pairs = self._rotation()
         if self._dma is not None:
             controller._note_columnar_fallback(
                 "dma", rounds * sum(w for _, w in pairs), start_ns
             )
             return self.run_rounds(rounds, start_ns)
         from repro.cpu.cache import LockError
-        from repro.cpu.core import LLC_HIT_LATENCY_NS
         from repro.sim.columnar import ColumnarBatch
 
         core = system.core
@@ -344,14 +324,15 @@ class Attacker:
             cache.locked_hits, tlb.hits, tlb.misses, tlb.evictions,
         )
 
-    def _apply_cpu_deltas(self, deltas: tuple) -> None:
+    def _apply_cpu_deltas(self, deltas: tuple, rounds: int = 1) -> None:
+        """Advance the CPU counters by ``rounds`` times ``deltas``."""
         core = self.system.core
         cache = core.cache
         tlb = core.mmu.tlb
         (core.flushes, core.blocked_flushes, core.loads,
          cache.hits, cache.misses, cache.evictions, cache.writebacks,
          cache.locked_hits, tlb.hits, tlb.misses, tlb.evictions) = tuple(
-            value + delta
+            value + delta * rounds
             for value, delta in zip(self._cpu_counters(), deltas)
         )
 
@@ -376,6 +357,173 @@ class Attacker:
         )
 
     # ------------------------------------------------------------------
+    # The exact fast path behind run and run_rounds
+    # ------------------------------------------------------------------
+
+    def _hammer(
+        self,
+        start_ns: int,
+        deadline: Optional[int] = None,
+        rounds: Optional[int] = None,
+    ) -> AttackResult:
+        """The hammer loop of :meth:`run` (whole rounds until
+        ``deadline``) and :meth:`run_rounds` (``rounds`` rounds).
+
+        Rounds run through :meth:`_hammer_round` until two in a row are
+        clean (:meth:`_clean_round`) and leave the same
+        :meth:`_steady_signature`.  From that fixed point every round
+        does the same CPU work and reads the same physical lines, so
+        the CPU model stops running: the frozen column goes to
+        :meth:`~repro.mc.controller.MemoryController.submit_chain`,
+        :data:`CHAIN_ROUNDS` rounds per call, and the CPU counters
+        advance by the per-round deltas.
+
+        Host-OS interrupt handlers never run inside a chain.  When the
+        engine stops before an ACT that would raise one,
+        :meth:`_finish_round` completes the round it stopped in, and the
+        chain resumes only if the signature is still the steady one.
+        Flips drain after every chain call and every round run here:
+        no foreign code ran inside a call, so this equals the per-round
+        drain.
+
+        DMA plans, trace sinks, profilers and ACT observers without a
+        bulk twin keep every round on :meth:`_hammer_round` (see
+        :attr:`~repro.mc.controller.MemoryController.supports_chain`).
+        """
+        system = self.system
+        controller = system.controller
+        asid = self.handle.asid
+        system.drain_flips()
+        flips: List[BitFlip] = []
+        now = start_ns
+        done = 0
+        # (column, deltas, signature) of the last round if it was clean,
+        # and of the frozen round once two clean rounds in a row match
+        previous = steady = None
+        while ((deadline is None or now < deadline)
+               and (rounds is None or done < rounds)
+               and self.plan.viable):
+            if self._dma is not None or not controller.supports_chain:
+                previous = steady = None
+                now = self._hammer_round(now)
+                done += 1
+            elif steady is None:
+                counters = self._cpu_counters()
+                delivered = self._interrupts_delivered()
+                now = self._hammer_round(now)
+                done += 1
+                current = self._clean_round(counters, delivered)
+                if (current is not None and previous is not None
+                        and current[2] == previous[2]):
+                    steady = current
+                previous = current
+            else:
+                column, deltas, signature = steady
+                size = len(column)
+                take = CHAIN_ROUNDS
+                if rounds is not None and rounds - done < take:
+                    take = rounds - done
+                # hammer_access: a clean clflush costs 1 ns, and the
+                # load retires LLC_HIT_LATENCY_NS after its DRAM read.
+                serviced, now = controller.submit_chain(
+                    column, asid, take, now, 1, LLC_HIT_LATENCY_NS,
+                    deadline,
+                )
+                full, split = divmod(serviced, size)
+                self._apply_cpu_deltas(deltas, full)
+                done += full
+                if split or (serviced < take * size
+                             and (deadline is None or now < deadline)):
+                    # stopped before an ACT that raises an interrupt
+                    now = self._finish_round(now, split)
+                    done += 1
+                    if self._steady_signature(column) != signature:
+                        previous = steady = None
+            if system.has_pending_flips():
+                flips.extend(system.drain_flips())
+        return AttackResult(
+            plan=self.plan,
+            hammer_iterations=done,
+            started_ns=start_ns,
+            finished_ns=max(now, start_ns),
+            flips=flips,
+        )
+
+    def _round_lines(self) -> List[int]:
+        """The virtual lines of one round, in access order."""
+        return [
+            line for line, weight in self._rotation()
+            for _ in range(weight)
+        ]
+
+    def _interrupts_delivered(self) -> int:
+        """Interrupts delivered to host-OS handlers so far."""
+        return sum(
+            counter.interrupts_delivered
+            for counter in self.system.controller.counters.values()
+        )
+
+    def _clean_round(self, before: tuple, delivered: int) -> Optional[tuple]:
+        """``(column, deltas, signature)`` of the round just run from
+        CPU counters ``before`` with ``delivered`` interrupts so far, or
+        None unless it was clean: every access a TLB hit and an LLC
+        miss, with no writeback, no blocked flush and no interrupt (a
+        handler's own CPU work must not enter the per-round deltas).
+        The column holds the round's physical lines, read from the TLB
+        entries the round hit."""
+        deltas = tuple(
+            after - prior
+            for after, prior in zip(self._cpu_counters(), before)
+        )
+        (_, blocked, loads, _, misses, _, writebacks, _, _, tlb_misses,
+         _) = deltas
+        lines = self._round_lines()
+        if (loads != len(lines) or misses != loads or blocked
+                or writebacks or tlb_misses
+                or self._interrupts_delivered() != delivered):
+            return None
+        mmu = self.system.mmu
+        per_page = mmu.lines_per_page
+        entries = mmu.tlb._entries
+        asid = self.handle.asid
+        column = array("q", (
+            entries[(asid, line // per_page)] * per_page + line % per_page
+            for line in lines
+        ))
+        return column, deltas, self._steady_signature(column)
+
+    def _finish_round(self, now: int, first: int) -> int:
+        """Finish the round a chain stopped in, before its access
+        number ``first``.
+
+        The DRAM reads of the earlier accesses ran in the chain; only
+        their CPU side replays here (a steady access: a TLB hit, a
+        clean flush, an LLC miss).  The rest of the round runs through
+        ``hammer_access``, where the interrupt fires."""
+        core = self.system.core
+        translate = core.mmu.translate_line
+        cache = core.cache
+        hammer_access = core.hammer_access
+        asid = self.handle.asid
+        position = 0
+        for virtual_line, weight in self._rotation():
+            for _ in range(weight):
+                if position < first:
+                    core.flushes += 1
+                    physical = translate(asid, virtual_line)
+                    cache.flush(physical)
+                    core.loads += 1
+                    cache.access(physical)
+                    position += 1
+                    continue
+                try:
+                    now = hammer_access(asid, virtual_line, now).done_at_ns
+                except TranslationError:
+                    # The page vanished (evacuated by a defense).
+                    break
+        return now
+
+    # ------------------------------------------------------------------
     # Stepping (also the engine-actor interface)
     # ------------------------------------------------------------------
 
@@ -390,12 +538,7 @@ class Attacker:
         the stale virtual line point somewhere new — which is precisely
         the wear-leveling defense working; the attacker keeps hammering
         the same virtual address like the real thing would."""
-        plan = self.plan
-        pairs = self._pairs
-        if pairs is None or self._pairs_plan is not plan:
-            weights = plan.weights or (1,) * len(plan.aggressor_lines)
-            pairs = self._pairs = list(zip(plan.aggressor_lines, weights))
-            self._pairs_plan = plan
+        pairs = self._rotation()
         dma = self._dma
         if dma is not None:
             physical_line = self.handle.physical_line
@@ -418,3 +561,12 @@ class Attacker:
                     # The page vanished (evacuated by a defense).
                     break
         return now
+
+    def _rotation(self) -> List[tuple]:
+        """The plan's (line, weight) pairs, cached per plan object."""
+        plan = self.plan
+        if self._pairs is None or self._pairs_plan is not plan:
+            weights = plan.weights or (1,) * len(plan.aggressor_lines)
+            self._pairs = list(zip(plan.aggressor_lines, weights))
+            self._pairs_plan = plan
+        return self._pairs

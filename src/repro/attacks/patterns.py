@@ -81,13 +81,16 @@ class AttackPlanner:
     def _index_attacker_rows(self) -> None:
         """Map each logical row holding attacker data to one attacker
         *virtual* line inside it (the hammer handle)."""
-        lines_per_page = self.attacker.lines_per_page
-        for virtual_page in range(self.attacker.pages):
-            for offset in range(lines_per_page):
-                virtual_line = virtual_page * lines_per_page + offset
-                physical = self.attacker.physical_line(virtual_line)
-                row = self.system.mapper.line_to_ddr(physical).row_key()
-                self._line_by_row.setdefault(row, virtual_line)
+        virtual_lines = range(
+            self.attacker.pages * self.attacker.lines_per_page
+        )
+        physical_line = self.attacker.physical_line
+        addresses = self.system.mapper.lines_to_ddr_bulk(
+            [physical_line(line) for line in virtual_lines]
+        )
+        line_by_row = self._line_by_row
+        for virtual_line, address in zip(virtual_lines, addresses):
+            line_by_row.setdefault(address.row_key(), virtual_line)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -103,7 +103,9 @@ class PageAllocator:
         self._retired: Set[int] = set()
         self._validate_policy()
 
-    def _rows_of_frame(self, frame: int) -> FrozenSet[RowKey]:
+    def rows_of_frame(self, frame: int) -> FrozenSet[RowKey]:
+        """Row keys the frame's lines touch, translated once per
+        placement and cached."""
         rows = self._frame_rows.get(frame)
         if rows is None:
             rows = frozenset(self.mapper.rows_of_frame(frame))
@@ -274,7 +276,7 @@ class PageAllocator:
         frame = free.find(1)
         while frame >= 0:
             if admissible(frame, asid):
-                if not avoid_rows or self._rows_of_frame(frame).isdisjoint(
+                if not avoid_rows or self.rows_of_frame(frame).isdisjoint(
                     avoid_rows
                 ):
                     return self._take(frame, asid)
@@ -297,7 +299,7 @@ class PageAllocator:
             for bank in self._banks_of_frame(frame):
                 self._bank_owner[bank] = asid
         guard_rows = self.policy is AllocationPolicy.GUARD_ROWS
-        for row in self._rows_of_frame(frame):
+        for row in self.rows_of_frame(frame):
             counts = self._row_domains.setdefault(row, {})
             held = counts.get(asid, 0)
             counts[asid] = held + 1
@@ -308,7 +310,7 @@ class PageAllocator:
     def _retract(self, frame: int, asid: int) -> None:
         """Withdraw ``asid``'s attribution of the rows of ``frame``."""
         guard_rows = self.policy is AllocationPolicy.GUARD_ROWS
-        for row in self._rows_of_frame(frame):
+        for row in self.rows_of_frame(frame):
             counts = self._row_domains.get(row)
             if counts is None:
                 continue
@@ -368,7 +370,7 @@ class PageAllocator:
         Rows can be shared between frames under some mappings, so the
         frame's own rows count too."""
         guarded = self._guarded
-        for row in self._rows_of_frame(frame):
+        for row in self.rows_of_frame(frame):
             owners = guarded.get(row)
             if owners and (len(owners) > 1 or asid not in owners):
                 return False

@@ -19,7 +19,7 @@ import random
 import time as _time
 from array import array as _array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dram.device import DramDevice
 from repro.dram.disturbance import BitFlip
@@ -648,6 +648,72 @@ class MemoryController:
             window_sizes=window_sizes, start_ns=start_ns,
         )
 
+    @property
+    def supports_chain(self) -> bool:
+        """Whether :meth:`submit_chain` may service a hammer chain.
+
+        It may when no trace sink is enabled and no profiler is attached
+        (their legs stay on the per-request path), every ACT observer
+        has a bulk twin, and nobody wrapped the disturbance tracker's
+        per-ACT hook on the instance (profiling and the deep invariant
+        probes do; the bulk engine never calls that hook)."""
+        return (
+            not self.trace.enabled
+            and self.profiler is None
+            and None not in self._act_observer_bulk
+            and "on_activate" not in vars(self.device.tracker)
+        )
+
+    def submit_chain(
+        self,
+        line_col,
+        domain: Optional[int],
+        rounds: int,
+        start_ns: int,
+        flush_ns: int,
+        fill_ns: int,
+        deadline_ns: Optional[int] = None,
+    ) -> Tuple[int, int]:
+        """Service a dependent chain of reads in one engine call.
+
+        The chain is ``rounds`` passes over ``line_col`` (one round of
+        physical lines).  Each read issues ``flush_ns`` after the
+        previous one retired, and retires ``fill_ns`` after its DRAM
+        read completes.  That is the serial flush + load loop of
+        :meth:`~repro.cpu.core.Core.hammer_access`, where the next
+        access waits for the previous load.  The first read issues at
+        ``start_ns + flush_ns``.  Requests, ACTs, refresh bursts, gates,
+        in-DRAM mitigations and counters land exactly as if each read
+        went through :meth:`submit` at its issue time.
+
+        The chain stops early in two cases:
+
+        * at a round boundary once the clock reaches ``deadline_ns``;
+        * before a read whose ACT would overflow the counter of a
+          channel with subscribed interrupt handlers.  Handlers may
+          remap pages or lock lines the caller replays, so they run on
+          the caller's per-access path, never inside a chain.  The read
+          is not serviced, but a refresh burst due before it has run.
+
+        Returns ``(reads serviced, clock)``, where the clock is the
+        retire time of the last serviced read (``start_ns`` if none).
+        Callers must check :attr:`supports_chain` first.
+        """
+        size = len(line_col)
+        addresses = self.mapper.lines_to_ddr_bulk(line_col)
+        bank_index_of = self.device._bank_index
+        bank_ids = [
+            bank_index_of[(a.channel, a.rank, a.bank)] for a in addresses
+        ]
+        n = size * rounds
+        return self._submit_columnar_bulk(
+            addresses * rounds, line_col * rounds, _array("b", (0,)) * n,
+            None, _array("q", (-1 if domain is None else domain,)) * n, n,
+            bank_ids=bank_ids * rounds, start_ns=start_ns,
+            chain_round=size, flush_ns=flush_ns, fill_ns=fill_ns,
+            deadline_ns=deadline_ns,
+        )
+
     def _note_columnar_fallback(
         self, reason: str, size: int, time_ns: int
     ) -> None:
@@ -814,7 +880,11 @@ class MemoryController:
         window_sizes: Optional[List[int]] = None,
         start_ns: int = 0,
         reorder=None,
-    ) -> int:
+        chain_round: Optional[int] = None,
+        flush_ns: int = 0,
+        fill_ns: int = 0,
+        deadline_ns: Optional[int] = None,
+    ) -> Union[int, Tuple[int, int]]:
         """The fully vectorized columnar engine (tier 3).
 
         Result-identical to :meth:`_submit_columnar_scalar` (hence to
@@ -874,6 +944,16 @@ class MemoryController:
         refresh burst can only fire at the window's first element:
         state the hook reads is exactly the state a per-window
         scheduler call would have read.
+
+        ``chain_round`` switches the engine into *dependent-chain* mode
+        (the :meth:`submit_chain` path): ``time_col`` is ignored, the
+        columns hold whole rounds of ``chain_round`` requests, and each
+        request issues ``flush_ns`` after the clock (``start_ns``, then
+        each request's completion plus ``fill_ns``).  The engine stops
+        before a round that starts at or after ``deadline_ns`` and
+        before an ACT that would overflow a counter with subscribed
+        interrupt handlers; the return value is then
+        ``(requests serviced, clock)``.
         """
         device = self.device
         timings = device.timings
@@ -1027,6 +1107,18 @@ class MemoryController:
             # scalar twin.
             flush_per_window = tracing
 
+        # Chain-mode bookkeeping: round_end == -1 disables the deadline
+        # check (no deadline, or not a chain); ``guarded`` holds the
+        # channels whose overflow would run a host-OS handler.
+        chained = chain_round is not None
+        clock = start_ns
+        round_end = 0 if chained and deadline_ns is not None else -1
+        serviced = n
+        guarded = (
+            {c for c, k in counters.items() if k._handlers}
+            if chained else ()
+        )
+
         def sync_acts() -> None:
             nonlocal acts_delta
             if acts_delta:
@@ -1056,6 +1148,13 @@ class MemoryController:
                 time_ns = now_window
             elif windowed:
                 time_ns = now_window
+            elif chained:
+                if i == round_end:
+                    if clock >= deadline_ns:
+                        serviced = i
+                        break
+                    round_end = i + chain_round
+                time_ns = clock + flush_ns
             else:
                 time_ns = time_col[i]
             if refresh_enabled and next_ref <= time_ns:
@@ -1080,6 +1179,12 @@ class MemoryController:
                 data_at_bank = start + tCL
                 will_act = False
             else:
+                if (channel in guarded
+                        and ch_count[channel] + 1 >= ch_next[channel]):
+                    # This ACT would run a handler, which may remap or
+                    # lock what the chain replays: stop before it.
+                    serviced = i
+                    break
                 will_act = True
                 domain = dom_col[i]
                 if domain < 0:
@@ -1190,6 +1295,8 @@ class MemoryController:
                 busy_until = done
             if done > batch_done:
                 batch_done = done
+            if chained:
+                clock = done + fill_ns
 
         flush_events()
         sync_acts()
@@ -1207,6 +1314,8 @@ class MemoryController:
             # Completion of the final window (batch_done covers only
             # requests issued since the last boundary).
             return now_window if now_window > batch_done else batch_done
+        if chained:
+            return serviced, clock
         return batch_done
 
     def advance_to(self, now: int) -> None:

@@ -75,10 +75,12 @@ class DomainHandle:
         return self.system.mmu.translate_line(self.asid, virtual_line)
 
     def rows(self) -> FrozenSet[RowKey]:
-        """All logical DRAM rows holding this domain's data."""
+        """All logical DRAM rows holding this domain's data (each
+        frame's rows come from the allocator's per-frame cache)."""
+        rows_of_frame = self.system.allocator.rows_of_frame
         rows = set()
         for frame in self.frames:
-            rows.update(self.system.mapper.rows_of_frame(frame))
+            rows.update(rows_of_frame(frame))
         return frozenset(rows)
 
     def write(self, virtual_line: int, data: bytes, now: int = 0) -> int:
