@@ -96,8 +96,11 @@ def main(argv=None) -> int:
         high = service.submit(
             plain, plain_seeds, experiment="E13", priority="high",
         )
+        # jobs=1 runs the seeds in the service worker itself, so the
+        # kill takes down the worker rather than a pool child that the
+        # worker's own supervisor would respawn
         killed = service.submit(
-            crashing, crash_seeds, experiment="chaos",
+            crashing, crash_seeds, experiment="chaos", jobs=1,
         )
         if not (high.accepted and killed.accepted):
             return fail("admission rejected a smoke job")

@@ -9,10 +9,10 @@ machine slowing the loop down or the flips not happening.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.attacks._steady import SteadyChain
 from repro.attacks.patterns import AttackPlan
 from repro.cpu.core import LLC_HIT_LATENCY_NS
 from repro.cpu.mmu import TranslationError
@@ -22,9 +22,9 @@ from repro.mc.controller import MemoryRequest
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import DomainHandle, System
 
-#: Rounds of the frozen column :meth:`Attacker.run` and
-#: :meth:`Attacker.run_rounds` submit per engine call once the hammer
-#: loop is at its fixed point; flips drain after every call.
+#: Rounds :meth:`Attacker.run` and :meth:`Attacker.run_rounds` submit
+#: per chain call once every access of a round is resident; flips
+#: drain after every call.
 CHAIN_ROUNDS = 64
 
 
@@ -85,10 +85,11 @@ class Attacker:
         """Hammer for ``duration_ns`` of simulated time: whole rounds,
         each started while the clock is before the deadline.
 
-        Exact and fast: once the loop reaches its fixed point the
-        rounds run as a dependent chain in the controller's bulk engine
-        (see :meth:`_hammer`), with the same result, metrics and CPU
-        state as running every round through :meth:`_hammer_round`."""
+        Exact and fast: once a round's accesses are resident the rounds
+        run as a dependent chain in the controller's bulk engine, with
+        interrupt handlers inside it (see :meth:`_hammer`), and the
+        result, metrics and CPU state are those of running every round
+        through :meth:`_hammer_round`."""
         if duration_ns < 1:
             raise ValueError("duration_ns must be >= 1")
         return self._hammer(start_ns, deadline=start_ns + duration_ns)
@@ -369,22 +370,25 @@ class Attacker:
         """The hammer loop of :meth:`run` (whole rounds until
         ``deadline``) and :meth:`run_rounds` (``rounds`` rounds).
 
-        Rounds run through :meth:`_hammer_round` until two in a row are
-        clean (:meth:`_clean_round`) and leave the same
-        :meth:`_steady_signature`.  From that fixed point every round
-        does the same CPU work and reads the same physical lines, so
-        the CPU model stops running: the frozen column goes to
-        :meth:`~repro.mc.controller.MemoryController.submit_chain`,
-        :data:`CHAIN_ROUNDS` rounds per call, and the CPU counters
-        advance by the per-round deltas.
+        At each round boundary where every access of the round is
+        resident (see :mod:`repro.attacks._steady`), the next
+        :data:`CHAIN_ROUNDS` rounds go to
+        :meth:`~repro.mc.controller.MemoryController.submit_chain` as
+        one dependent chain, with the CPU side applied lazily; otherwise
+        the round runs through :meth:`_hammer_round`, which is how the
+        loop warms up.
 
-        Host-OS interrupt handlers never run inside a chain.  When the
-        engine stops before an ACT that would raise one,
-        :meth:`_finish_round` completes the round it stopped in, and the
-        chain resumes only if the signature is still the steady one.
-        Flips drain after every chain call and every round run here:
-        no foreign code ran inside a call, so this equals the per-round
-        drain.
+        Host-OS interrupt handlers run inside the chain.  Before one
+        runs, the CPU side is caught up through the access it
+        interrupts, and the flips of earlier rounds, and only those,
+        are drained.  That is what the per-access loop, which drains
+        after every round, has drained by then, and a handler can see
+        it: a drain corrupts data-plane lines, picked from the victim
+        row's lines at drain time, and feeds enclaves.  If the handler
+        moved a page or locked or evicted a line the chain reads, the
+        chain ends there and :meth:`_finish_round` runs the rest of the
+        round per access.  Flips drain after every call and every round
+        run here, all at round boundaries.
 
         DMA plans, trace sinks, profilers and ACT observers without a
         bulk twin keep every round on :meth:`_hammer_round` (see
@@ -392,53 +396,37 @@ class Attacker:
         """
         system = self.system
         controller = system.controller
-        asid = self.handle.asid
         system.drain_flips()
         flips: List[BitFlip] = []
+
+        def drain(settled: int) -> None:
+            flips.extend(system.drain_flips(settled))
+
+        chain = SteadyChain(system, self.handle.asid, drain)
         now = start_ns
         done = 0
-        # (column, deltas, signature) of the last round if it was clean,
-        # and of the frozen round once two clean rounds in a row match
-        previous = steady = None
         while ((deadline is None or now < deadline)
                and (rounds is None or done < rounds)
                and self.plan.viable):
-            if self._dma is not None or not controller.supports_chain:
-                previous = steady = None
+            pairs = self._rotation()
+            if (self._dma is not None or not controller.supports_chain
+                    or not chain.resident(line for line, _ in pairs)):
                 now = self._hammer_round(now)
                 done += 1
-            elif steady is None:
-                counters = self._cpu_counters()
-                delivered = self._interrupts_delivered()
-                now = self._hammer_round(now)
-                done += 1
-                current = self._clean_round(counters, delivered)
-                if (current is not None and previous is not None
-                        and current[2] == previous[2]):
-                    steady = current
-                previous = current
             else:
-                column, deltas, signature = steady
+                column = [line for line, weight in pairs
+                          for _ in range(weight)]
                 size = len(column)
                 take = CHAIN_ROUNDS
                 if rounds is not None and rounds - done < take:
                     take = rounds - done
-                # hammer_access: a clean clflush costs 1 ns, and the
-                # load retires LLC_HIT_LATENCY_NS after its DRAM read.
-                serviced, now = controller.submit_chain(
-                    column, asid, take, now, 1, LLC_HIT_LATENCY_NS,
-                    deadline,
-                )
+                serviced, now = chain.run(column, take, now, deadline, size)
                 full, split = divmod(serviced, size)
-                self._apply_cpu_deltas(deltas, full)
                 done += full
-                if split or (serviced < take * size
-                             and (deadline is None or now < deadline)):
-                    # stopped before an ACT that raises an interrupt
+                if split:
+                    # a handler ended the chain inside a round
                     now = self._finish_round(now, split)
                     done += 1
-                    if self._steady_signature(column) != signature:
-                        previous = steady = None
             if system.has_pending_flips():
                 flips.extend(system.drain_flips())
         return AttackResult(
@@ -449,73 +437,16 @@ class Attacker:
             flips=flips,
         )
 
-    def _round_lines(self) -> List[int]:
-        """The virtual lines of one round, in access order."""
-        return [
-            line for line, weight in self._rotation()
-            for _ in range(weight)
-        ]
-
-    def _interrupts_delivered(self) -> int:
-        """Interrupts delivered to host-OS handlers so far."""
-        return sum(
-            counter.interrupts_delivered
-            for counter in self.system.controller.counters.values()
-        )
-
-    def _clean_round(self, before: tuple, delivered: int) -> Optional[tuple]:
-        """``(column, deltas, signature)`` of the round just run from
-        CPU counters ``before`` with ``delivered`` interrupts so far, or
-        None unless it was clean: every access a TLB hit and an LLC
-        miss, with no writeback, no blocked flush and no interrupt (a
-        handler's own CPU work must not enter the per-round deltas).
-        The column holds the round's physical lines, read from the TLB
-        entries the round hit."""
-        deltas = tuple(
-            after - prior
-            for after, prior in zip(self._cpu_counters(), before)
-        )
-        (_, blocked, loads, _, misses, _, writebacks, _, _, tlb_misses,
-         _) = deltas
-        lines = self._round_lines()
-        if (loads != len(lines) or misses != loads or blocked
-                or writebacks or tlb_misses
-                or self._interrupts_delivered() != delivered):
-            return None
-        mmu = self.system.mmu
-        per_page = mmu.lines_per_page
-        entries = mmu.tlb._entries
-        asid = self.handle.asid
-        column = array("q", (
-            entries[(asid, line // per_page)] * per_page + line % per_page
-            for line in lines
-        ))
-        return column, deltas, self._steady_signature(column)
-
     def _finish_round(self, now: int, first: int) -> int:
-        """Finish the round a chain stopped in, before its access
-        number ``first``.
-
-        The DRAM reads of the earlier accesses ran in the chain; only
-        their CPU side replays here (a steady access: a TLB hit, a
-        clean flush, an LLC miss).  The rest of the round runs through
-        ``hammer_access``, where the interrupt fires."""
-        core = self.system.core
-        translate = core.mmu.translate_line
-        cache = core.cache
-        hammer_access = core.hammer_access
+        """Run the round a chain ended in through ``hammer_access``,
+        from its access number ``first`` on."""
+        hammer_access = self.system.core.hammer_access
         asid = self.handle.asid
         position = 0
         for virtual_line, weight in self._rotation():
-            for _ in range(weight):
-                if position < first:
-                    core.flushes += 1
-                    physical = translate(asid, virtual_line)
-                    cache.flush(physical)
-                    core.loads += 1
-                    cache.access(physical)
-                    position += 1
-                    continue
+            serviced = min(max(first - position, 0), weight)
+            position += weight
+            for _ in range(weight - serviced):
                 try:
                     now = hammer_access(asid, virtual_line, now).done_at_ns
                 except TranslationError:

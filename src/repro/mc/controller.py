@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time as _time
 from array import array as _array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -656,7 +657,9 @@ class MemoryController:
         (their legs stay on the per-request path), every ACT observer
         has a bulk twin, and nobody wrapped the disturbance tracker's
         per-ACT hook on the instance (profiling and the deep invariant
-        probes do; the bulk engine never calls that hook)."""
+        probes do; the bulk engine never calls that hook).  Subscribed
+        interrupt handlers do not matter: they run inside the chain,
+        between the caller's ``before`` and ``after`` callbacks."""
         return (
             not self.trace.enabled
             and self.profiler is None
@@ -668,50 +671,72 @@ class MemoryController:
         self,
         line_col,
         domain: Optional[int],
-        rounds: int,
         start_ns: int,
         flush_ns: int,
         fill_ns: int,
-        deadline_ns: Optional[int] = None,
+        deadline_ns: Optional[int],
+        round_len: int,
+        before: Callable[[int, int], None],
+        after: Callable[[], bool],
     ) -> Tuple[int, int]:
         """Service a dependent chain of reads in one engine call.
 
-        The chain is ``rounds`` passes over ``line_col`` (one round of
-        physical lines).  Each read issues ``flush_ns`` after the
-        previous one retired, and retires ``fill_ns`` after its DRAM
-        read completes.  That is the serial flush + load loop of
+        ``line_col`` holds the physical line of every read, in order.
+        Each read issues ``flush_ns`` after the previous one retired,
+        and retires ``fill_ns`` after its DRAM read completes.  That is
+        the serial flush + load loop of
         :meth:`~repro.cpu.core.Core.hammer_access`, where the next
         access waits for the previous load.  The first read issues at
         ``start_ns + flush_ns``.  Requests, ACTs, refresh bursts, gates,
         in-DRAM mitigations and counters land exactly as if each read
         went through :meth:`submit` at its issue time.
 
-        The chain stops early in two cases:
+        Reads come in rounds of ``round_len``: the chain stops at a
+        round boundary once the clock reaches ``deadline_ns`` (None:
+        never).
 
-        * at a round boundary once the clock reaches ``deadline_ns``;
-        * before a read whose ACT would overflow the counter of a
-          channel with subscribed interrupt handlers.  Handlers may
-          remap pages or lock lines the caller replays, so they run on
-          the caller's per-access path, never inside a chain.  The read
-          is not serviced, but a refresh burst due before it has run.
+        Host-OS interrupt handlers run in place, bracketed by the
+        caller's callbacks:
+
+        * ``before(i, settled)`` runs just before the handlers that the
+          ACT of read ``i`` raises, once every ACT up to it has reached
+          the tracker and the counters.  The caller brings its own
+          state up to read ``i`` here.  ``settled`` is the length of the
+          tracker's flip list that ACTs of earlier rounds (and handlers
+          run in them) account for;
+        * ``after()`` runs just after them.  If it returns False, the
+          chain ends with read ``i``.
 
         Returns ``(reads serviced, clock)``, where the clock is the
         retire time of the last serviced read (``start_ns`` if none).
         Callers must check :attr:`supports_chain` first.
         """
-        size = len(line_col)
-        addresses = self.mapper.lines_to_ddr_bulk(line_col)
+        n = len(line_col)
+        # A hammer chain touches a handful of distinct lines, and a
+        # column that repeats its first round is mapped one round at a
+        # time.
+        repeat, rest = divmod(n, round_len)
+        unit = line_col[:round_len]
+        if rest or unit * repeat != line_col:
+            unit, repeat = line_col, 1
+        distinct = list(dict.fromkeys(unit))
         bank_index_of = self.device._bank_index
-        bank_ids = [
-            bank_index_of[(a.channel, a.rank, a.bank)] for a in addresses
-        ]
-        n = size * rounds
+        address_of = {}
+        bank_of = {}
+        for line, address in zip(distinct,
+                                 self.mapper.lines_to_ddr_bulk(distinct)):
+            address_of[line] = address
+            bank_of[line] = bank_index_of[
+                (address.channel, address.rank, address.bank)
+            ]
         return self._submit_columnar_bulk(
-            addresses * rounds, line_col * rounds, _array("b", (0,)) * n,
-            None, _array("q", (-1 if domain is None else domain,)) * n, n,
-            bank_ids=bank_ids * rounds, start_ns=start_ns,
-            chain_round=size, flush_ns=flush_ns, fill_ns=fill_ns,
-            deadline_ns=deadline_ns,
+            list(map(address_of.__getitem__, unit)) * repeat, line_col,
+            _array("b", (0,)) * n, None,
+            _array("q", (-1 if domain is None else domain,)) * n, n,
+            bank_ids=list(map(bank_of.__getitem__, unit)) * repeat,
+            start_ns=start_ns, chain_round=round_len, flush_ns=flush_ns,
+            fill_ns=fill_ns, deadline_ns=deadline_ns,
+            before=before, after=after,
         )
 
     def _note_columnar_fallback(
@@ -884,6 +909,8 @@ class MemoryController:
         flush_ns: int = 0,
         fill_ns: int = 0,
         deadline_ns: Optional[int] = None,
+        before: Optional[Callable[[int, int], None]] = None,
+        after: Optional[Callable[[], bool]] = None,
     ) -> Union[int, Tuple[int, int]]:
         """The fully vectorized columnar engine (tier 3).
 
@@ -947,13 +974,18 @@ class MemoryController:
 
         ``chain_round`` switches the engine into *dependent-chain* mode
         (the :meth:`submit_chain` path): ``time_col`` is ignored, the
-        columns hold whole rounds of ``chain_round`` requests, and each
+        columns come in rounds of ``chain_round`` requests, and each
         request issues ``flush_ns`` after the clock (``start_ns``, then
         each request's completion plus ``fill_ns``).  The engine stops
-        before a round that starts at or after ``deadline_ns`` and
-        before an ACT that would overflow a counter with subscribed
-        interrupt handlers; the return value is then
-        ``(requests serviced, clock)``.
+        before a round that starts at or after ``deadline_ns``.  An
+        overflow on a channel with subscribed handlers calls
+        ``before(i, settled)`` after the flush and synchronisation
+        above, then the handlers, then ``after()``; when that returns
+        False the engine ends with request ``i``.  ``settled`` counts
+        the tracker flips that ACTs of earlier rounds account for: the
+        engine marks the tracker and the deferred columns at each round
+        boundary and reads each flushed flip's position.  The return
+        value is ``(requests serviced, clock)``.
         """
         device = self.device
         timings = device.timings
@@ -1006,19 +1038,25 @@ class MemoryController:
         def flush_events() -> None:
             nonlocal act_addr, act_row, act_bid, act_t, act_done, act_dom
             nonlocal act_now, act_stall, act_closed, act_line
+            nonlocal settled, round_acts
             if not act_t:
                 return
             # Rows and flat bank ids ride along as plain int columns so
             # the tracker's numpy kernel skips its attribute walks.
             if profiler is not None:
                 d0 = perf()
-            if tracing:
+            if tracing or watch:
                 flip_positions: List[int] = []
                 flips = tracker.on_activate_bulk(
                     act_addr, act_t, act_dom,
                     rows=act_row, bank_ids=act_bid,
                     out_positions=flip_positions,
                 )
+                if round_acts:
+                    # Flips come back in ACT order: those of the first
+                    # round_acts ACTs belong to earlier rounds.
+                    settled += bisect_left(flip_positions, round_acts)
+                    round_acts = 0
             else:
                 tracker.on_activate_bulk(
                     act_addr, act_t, act_dom,
@@ -1107,17 +1145,18 @@ class MemoryController:
             # scalar twin.
             flush_per_window = tracing
 
-        # Chain-mode bookkeeping: round_end == -1 disables the deadline
-        # check (no deadline, or not a chain); ``guarded`` holds the
-        # channels whose overflow would run a host-OS handler.
+        # Chain-mode bookkeeping.  ``watch``: some handler may run inside
+        # the chain, so flips are attributed to rounds: ``settled`` is
+        # the tracker flip count that earlier rounds account for and
+        # ``round_acts`` the deferred ACTs of earlier rounds not yet
+        # flushed.  ``stop``: ``after()`` ended the chain.
         chained = chain_round is not None
         clock = start_ns
-        round_end = 0 if chained and deadline_ns is not None else -1
+        round_end = 0 if chained else -1
         serviced = n
-        guarded = (
-            {c for c, k in counters.items() if k._handlers}
-            if chained else ()
-        )
+        watch = chained and any(k._handlers for k in counters.values())
+        settled = round_acts = 0
+        stop = False
 
         def sync_acts() -> None:
             nonlocal acts_delta
@@ -1150,10 +1189,13 @@ class MemoryController:
                 time_ns = now_window
             elif chained:
                 if i == round_end:
-                    if clock >= deadline_ns:
+                    if deadline_ns is not None and clock >= deadline_ns:
                         serviced = i
                         break
                     round_end = i + chain_round
+                    if watch:
+                        settled = len(tracker.flips)
+                        round_acts = len(act_t)
                 time_ns = clock + flush_ns
             else:
                 time_ns = time_col[i]
@@ -1179,12 +1221,6 @@ class MemoryController:
                 data_at_bank = start + tCL
                 will_act = False
             else:
-                if (channel in guarded
-                        and ch_count[channel] + 1 >= ch_next[channel]):
-                    # This ACT would run a handler, which may remap or
-                    # lock what the chain replays: stop before it.
-                    serviced = i
-                    break
                 will_act = True
                 domain = dom_col[i]
                 if domain < 0:
@@ -1266,6 +1302,9 @@ class MemoryController:
                     counter = counters[channel]
                     counter.absorb(pending - 1)
                     ch_pending[channel] = 0
+                    bracket = watch and bool(counter._handlers)
+                    if bracket:
+                        before(i, settled)
                     interrupt = counter.on_act(done, line_col[i], False)
                     if tracing and interrupt is not None:
                         # Same position as the scalar stream: after the
@@ -1285,6 +1324,8 @@ class MemoryController:
                         ch_count[other] = other_counter._count
                         ch_next[other] = other_counter._next_overflow_at
                     have_observers = bool(self._act_observers)
+                    if bracket and not after():
+                        stop = True
 
             if write_col[i]:
                 writes += 1
@@ -1297,6 +1338,9 @@ class MemoryController:
                 batch_done = done
             if chained:
                 clock = done + fill_ns
+                if stop:
+                    serviced = i + 1
+                    break
 
         flush_events()
         sync_acts()

@@ -328,12 +328,17 @@ class System:
     # Flip routing and oracle access
     # ------------------------------------------------------------------
 
-    def drain_flips(self) -> List[BitFlip]:
+    def drain_flips(self, upto: Optional[int] = None) -> List[BitFlip]:
         """New flips since the previous drain; forwards each to any
-        enclave whose memory it hit.  Engines call this every step."""
+        enclave whose memory it hit.  Engines call this every step.
+
+        ``upto`` stops the drain at that length of the tracker's flip
+        list, leaving later flips pending (the hammer chain drains a
+        round's flips before a handler of the next round runs)."""
         flips = self.device.tracker.flips
-        fresh = flips[self._flip_cursor :]
-        self._flip_cursor = len(flips)
+        end = len(flips) if upto is None else max(upto, self._flip_cursor)
+        fresh = flips[self._flip_cursor : end]
+        self._flip_cursor = end
         for flip in fresh:
             for enclave in self.enclaves.values():
                 enclave.observe_flip(flip)
