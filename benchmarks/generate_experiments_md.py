@@ -43,12 +43,11 @@ matters.
 Replication runs can be parallelised across processes: set `REPRO_JOBS`
 (or pass `--jobs` to `python -m repro replicate`) to fan seeded
 replications over a worker pool — aggregates are bit-identical to the
-serial path, so worker count never changes a table.  Core-simulator
-throughput (requests/s and ACTs/s on streaming, attack, and
-multi-tenant shapes) is tracked separately by
-`benchmarks/bench_core_hotpaths.py`, which appends labelled entries to
-`benchmarks/BENCH_core.json`; refresh that trajectory whenever the
-request hot path changes.
+serial path, so worker count never changes a table.  The speed of the
+reproduction itself is measured separately by `perfbench/`
+(`python3 perfbench/run.py --workload W`): wall time, set-up time, peak
+memory and simulated ACTs/s on three workloads drawn from E13, E5 and
+E10, with every cell checked against this file at `--seed 0`.
 
 Summary: **15 of 15 experiments, 8 of 8 ablations, and both methodology
 validations reproduce their claims.**

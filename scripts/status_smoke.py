@@ -76,8 +76,7 @@ def main() -> int:
                 f"expected {len(SEEDS)} worker metric snapshots, got "
                 f"{len(result.worker_metrics)}"
             )
-        for key in ("mc.acts", "runtime.seeds_completed",
-                    "mc.columnar_fallbacks.trace"):
+        for key in ("mc.acts", "runtime.seeds_completed", "mc.ref_bursts"):
             if key not in result.metrics:
                 failures.append(f"campaign metrics missing {key}")
 

@@ -1506,6 +1506,8 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentOutcome]] = {
 }
 
 
-def run_all(scale: int = 64) -> List[ExperimentOutcome]:
-    """Run the full suite (several minutes of simulation)."""
-    return [run(scale=scale) for run in EXPERIMENTS.values()]
+def run_all(scale: Optional[int] = None) -> List[ExperimentOutcome]:
+    """Run the full suite (several minutes of simulation), each
+    experiment at its own default scale unless ``scale`` is given."""
+    kwargs = {} if scale is None else {"scale": scale}
+    return [run(**kwargs) for run in EXPERIMENTS.values()]

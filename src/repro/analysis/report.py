@@ -43,12 +43,13 @@ def outcome_to_markdown(outcome: ExperimentOutcome) -> str:
 
 def generate_report(
     experiment_ids: Optional[Sequence[str]] = None,
-    scale: int = 64,
+    scale: Optional[int] = None,
     progress=None,
     include_ablations: bool = False,
 ) -> str:
     """Run the selected experiments (all by default, plus the A-series
     when ``include_ablations``) and return the combined markdown report.
+    ``scale`` overrides every experiment's own default scale when given.
     ``progress`` is an optional callable invoked with each experiment id
     before it runs."""
     from repro.analysis.ablations import ABLATIONS
@@ -68,11 +69,12 @@ def generate_report(
     if unknown:
         known = ", ".join(registry)
         raise KeyError(f"unknown experiment(s) {unknown}; known: {known}")
+    kwargs = {} if scale is None else {"scale": scale}
     outcomes: List[ExperimentOutcome] = []
     for experiment_id in selected:
         if progress is not None:
             progress(experiment_id)
-        outcomes.append(registry[experiment_id](scale=scale))
+        outcomes.append(registry[experiment_id](**kwargs))
     summary_rows = "".join(
         f"| {o.experiment_id} | {o.title} | "
         f"{'reproduced' if o.verdict else 'NOT reproduced'} |\n"

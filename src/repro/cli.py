@@ -86,8 +86,10 @@ def _cmd_run(args) -> int:
             print(f"unknown experiment {experiment_id!r}; "
                   f"known: {', '.join(registry)}", file=sys.stderr)
             return 2
-        if key.startswith("V"):
-            outcome = registry[key]()  # validations pick their own scales
+        if key.startswith("V") or args.scale is None:
+            # validations pick their own scales; without --scale every
+            # experiment runs at its own default (E13's is 8, not 64)
+            outcome = registry[key]()
         else:
             outcome = registry[key](scale=args.scale)
         print(outcome.render())
@@ -129,16 +131,6 @@ def _cmd_attack(args) -> int:
             print(f"{defense.name} counters: {defense.counters}")
     return 0 if (args.expect_flips is None
                  or (result.cross_domain_flips > 0) == args.expect_flips) else 1
-
-
-def _cmd_bench(args) -> int:
-    from repro.analysis.bench import run_from_args
-
-    try:
-        return run_from_args(args)
-    except ValueError as error:
-        print(f"repro bench: error: {error}", file=sys.stderr)
-        return 2
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
@@ -603,18 +595,6 @@ def _cmd_status(args) -> int:
         rate = requests / ((last_ns - first_ns) / 1e9)
         print(f"  req/s:     {rate:,.0f} "
               f"(simulated requests over campaign wall clock)")
-    reasons = sorted(
-        (
-            (key.split(".")[-1], value)
-            for key, value in merged.items()
-            if key.startswith("mc.columnar_fallbacks.") and value
-        ),
-        key=lambda item: (-item[1], item[0]),
-    )
-    if reasons:
-        print("  top fallback reasons: " + ", ".join(
-            f"{name}={count}" for name, count in reasons
-        ))
     if merged:
         print(f"  merged metrics ({len(snapshot.worker_metrics)} seed "
               f"snapshot"
@@ -682,13 +662,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from repro.obs import expand_events, iter_jsonl, render_summary, summarize_events
+    from repro.obs import iter_jsonl, render_summary, summarize_events
 
     # Stream: one event in memory at a time, so a multi-gigabyte trace
-    # (or a columnar one — bulk records expand lazily) inspects in
-    # bounded memory.
+    # inspects in bounded memory.
     try:
-        summary = summarize_events(expand_events(iter_jsonl(args.trace)))
+        summary = summarize_events(iter_jsonl(args.trace))
     except (OSError, ValueError) as error:
         print(f"repro inspect: error: {error}", file=sys.stderr)
         return 2
@@ -807,7 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run experiments by id")
     run_parser.add_argument("experiments", nargs="+", metavar="EXPERIMENT")
-    run_parser.add_argument("--scale", type=int, default=64)
+    run_parser.add_argument(
+        "--scale", type=int, default=None,
+        help="scale factor for every experiment (default: each "
+             "experiment's own)",
+    )
 
     attack_parser = sub.add_parser("attack", help="mount one attack")
     attack_parser.add_argument(
@@ -835,7 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report_parser = sub.add_parser("report", help="run everything, emit markdown")
-    report_parser.add_argument("--scale", type=int, default=64)
+    report_parser.add_argument(
+        "--scale", type=int, default=None,
+        help="scale factor for every experiment (default: each "
+             "experiment's own)",
+    )
     report_parser.add_argument("-o", "--output", default=None)
     report_parser.add_argument(
         "--campaign", default=None, metavar="JOURNAL",
@@ -843,13 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
              "end-of-campaign run report (JSON + markdown) for this "
              "journal and its telemetry sidecar",
     )
-
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark the simulator's core hot paths",
-    )
-    from repro.analysis.bench import add_bench_arguments
-
-    add_bench_arguments(bench_parser)
 
     replicate_parser = sub.add_parser(
         "replicate",
@@ -1104,7 +1084,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "attack": _cmd_attack,
         "report": _cmd_report,
-        "bench": _cmd_bench,
         "replicate": _cmd_replicate,
         "trace": _cmd_trace,
         "status": _cmd_status,

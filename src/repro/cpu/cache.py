@@ -73,8 +73,8 @@ class SetAssociativeCache:
         self.writebacks = 0
         self.locked_hits = 0
         #: hits served through :meth:`access_bulk` (subset of ``hits``);
-        #: surfaces as the ``cache.l2.bulk_hits`` gauge so the columnar
-        #: front end's cache traffic is distinguishable from scalar
+        #: surfaces as the ``cache.l2.bulk_hits`` gauge so bulk cache
+        #: traffic is distinguishable from scalar
         self.bulk_hits = 0
 
     # ------------------------------------------------------------------

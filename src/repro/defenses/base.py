@@ -66,14 +66,14 @@ class Defense(abc.ABC):
     #: attribute blame generically, whatever the base tracker is.
     mitigation_counters: Tuple[str, ...] = ()
     #: Whether the defense's ACT-path hooks are safe under the MC's bulk
-    #: (columnar) engine.  True for defenses whose hooks are inline-safe
+    #: (chain) engine.  True for defenses whose hooks are inline-safe
     #: there — act gates, interrupt subscriptions, in-DRAM mitigations,
     #: allocator policies — or that install a bulk observer twin.  Set
     #: False when ``_wire`` installs a *scalar-only* ACT observer whose
     #: semantics depend on strict per-ACT interleaving with the rest of
     #: the controller (e.g. observers that re-enter the MC to refresh
-    #: rows); the columnar path then services batches through its
-    #: ordered scalar fallback, counted in ``mc.columnar_fallbacks``.
+    #: rows); hammer loops then stay on the per-access path
+    #: (:attr:`~repro.mc.controller.MemoryController.supports_chain`).
     supports_bulk_acts: bool = True
 
     def __init__(self) -> None:
@@ -119,7 +119,7 @@ class Defense(abc.ABC):
         return DefenseCost()
 
     # ------------------------------------------------------------------
-    # Bulk ACT API (columnar fast path)
+    # Bulk ACT API (the chain engine's observer twin)
     # ------------------------------------------------------------------
 
     def on_activate_bulk(

@@ -18,10 +18,10 @@ mitigating" signal) can be wrapped.  The default base is
 the PRACtical line, and bulk-exact, so the composite keeps
 ``supports_bulk_acts = True``.  Wrapping a scalar-only base (say
 Graphene) works too; the composite then honestly reports itself
-scalar-only and rides the counted ordered fallback.
+scalar-only and hammer loops stay on the per-access path.
 
 The throttle gate runs inline on every ACT in both the scalar and the
-columnar bulk submission paths, so the composite is bulk == scalar by
+chain submission paths, so the composite is bulk == scalar by
 construction, like BlockHammer.
 """
 

@@ -20,8 +20,8 @@ explicitly because they are where the scheme's costs live:
   The per-burst counters record exactly that split.
 
 ``PracDefense`` rides the :class:`~repro.dram.device` mitigation hook
-(``on_activate`` inline on every ACT — scalar and columnar bulk legs
-alike — and ``targets_to_refresh`` consumed at each REF burst on
+(``on_activate`` inline on every ACT — scalar and chain legs alike —
+and ``targets_to_refresh`` consumed at each REF burst on
 flushed state), so it is bulk-exact with ``supports_bulk_acts = True``
 and zero engine changes.
 

@@ -265,7 +265,7 @@ class ParaDefense(Defense):
     )
     requires: Tuple[Primitive, ...] = ()
     #: scalar-only ACT observer that re-enters the device (neighbor
-    #: refresh ACTs) — columnar batches take the ordered fallback
+    #: refresh ACTs) — hammer loops stay on the per-access path
     supports_bulk_acts = False
 
     def __init__(self, probability: float = 0.01, refresh_radius: int = 1) -> None:
@@ -327,7 +327,7 @@ class GrapheneDefense(Defense):
     )
     requires: Tuple[Primitive, ...] = ()
     #: scalar-only ACT observer that re-enters the device (neighbor
-    #: refresh ACTs) — columnar batches take the ordered fallback
+    #: refresh ACTs) — hammer loops stay on the per-access path
     supports_bulk_acts = False
 
     def __init__(

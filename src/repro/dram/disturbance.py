@@ -21,12 +21,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.dram.geometry import DdrAddress, DramGeometry
+import numpy as _np
 
-try:  # numpy powers the bulk kernel; the scalar twin runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
+from repro.dram.geometry import DdrAddress, DramGeometry
 
 #: Below this many ACTs the numpy kernel's array setup costs more than
 #: the scalar walk it replaces (event vectors, lexsort, group scan).
@@ -273,19 +270,20 @@ class DisturbanceTracker:
         The vector form exists because neighbour accrual dominates
         attack-shape profiles: the numpy kernel replaces the per-ACT
         dict walk with one lexsorted event array and a cumulative sum
-        per victim group.  Small batches (and numpy-less installs) run
-        the scalar twin instead — behaviour is identical either way.
+        per victim group.  Small batches run the scalar twin instead —
+        behaviour is identical either way.
 
         ``out_positions``, when given, receives one batch position (the
         index of the causing ACT within ``addresses``) per *returned*
-        flip, in lockstep with the returned list — the trace layer uses
-        this to interleave flip events back into per-ACT order when
-        expanding a bulk record.
+        flip, in lockstep with the returned list — the chain engine
+        (:meth:`~repro.mc.controller.MemoryController.submit_chain`)
+        uses it to count the flips that ACTs of earlier rounds caused
+        (its ``settled`` count).
         """
         count = len(addresses)
         if count == 0:
             return []
-        if _np is None or count < _BULK_MIN_ACTS:
+        if count < _BULK_MIN_ACTS:
             return self._bulk_scalar_fused(
                 addresses, times, domains, rows, count, out_positions
             )

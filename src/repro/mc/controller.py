@@ -16,11 +16,9 @@ without a cycle-accurate pipeline.
 from __future__ import annotations
 
 import random
-import time as _time
-from array import array as _array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.device import DramDevice
 from repro.dram.disturbance import BitFlip
@@ -34,8 +32,6 @@ from repro.mc.counters import (
 )
 from repro.mc.stats import ControllerStats
 from repro.obs import events as _ev
-from repro.obs.columnar import ColumnarTraceRecord, flip_payload
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import TraceBus
 
 
@@ -91,7 +87,7 @@ ActObserver = Callable[[DdrAddress, int, Optional[int], bool], None]
 
 # Vector twin of an ActObserver: one call per flushed run of ACTs
 # (addresses, completion times, domains; never DMA — DMA requests cannot
-# enter the columnar path).  A bulk observer must be equivalent to its
+# enter the chain engine).  A bulk observer must be equivalent to its
 # scalar twin called per element and must not retain the sequences (the
 # engine reuses them).  It may be invoked slightly *earlier* than the
 # scalar path would have called the per-ACT observer relative to an
@@ -135,7 +131,6 @@ class MemoryController:
         self.page_policy = page_policy
         self.stats = ControllerStats()
         self.trace = trace if trace is not None else TraceBus()
-        self.profiler: Optional[PhaseProfiler] = None
         self._rng = rng or random.Random(0)
         # Each channel's jitter RNG is seeded ``counter_seed ^ channel``
         # (the same derivation defenses use for their own streams), so no
@@ -166,7 +161,7 @@ class MemoryController:
         self._act_observers: List[ActObserver] = []
         # Parallel to _act_observers: the bulk twin of each observer, or
         # None when the subscriber only handles scalar dispatch (which
-        # forces submit_columnar onto its segmented scalar path).
+        # keeps hammer loops off the chain engine; see supports_chain).
         self._act_observer_bulk: List[Optional[BulkActObserver]] = []
         self.refresh_enabled: bool = True
         # Fault-injection seams (installed by repro.faults.plane): the
@@ -212,25 +207,15 @@ class MemoryController:
     ) -> None:
         """Subscribe ``observer`` to every ACT the controller issues.
 
-        ``bulk``, when given, is the observer's vector twin: the
-        columnar engine hands it whole runs of ACTs instead of one call
-        per ACT.  Subscribers without a bulk twin keep full scalar
-        semantics — ``submit_columnar`` then services batches through
-        its ordered per-request path (counted in
-        ``mc.columnar_fallbacks``) so stateful observers never see
-        reordered or coalesced events.
+        ``bulk``, when given, is the observer's vector twin: the chain
+        engine (:meth:`submit_chain`) hands it whole runs of ACTs
+        instead of one call per ACT.  Subscribers without a bulk twin
+        keep full scalar semantics — :attr:`supports_chain` is then
+        false, so hammer loops stay on the per-request path and
+        stateful observers never see reordered or coalesced events.
         """
         self._act_observers.append(observer)
         self._act_observer_bulk.append(bulk)
-
-    # ------------------------------------------------------------------
-    # Observability wiring
-    # ------------------------------------------------------------------
-
-    def enable_profiling(self, profiler: PhaseProfiler) -> None:
-        """Route subsequent requests through the per-phase timed path.
-        Results are identical to the fast path; only wall clocks differ."""
-        self.profiler = profiler
 
     # ------------------------------------------------------------------
     # The request path
@@ -243,8 +228,6 @@ class MemoryController:
         executed first; ACT counters/observers/gates fire if the request
         activates a row.
         """
-        if self.profiler is not None:
-            return self._submit_profiled(request)
         time_ns = request.time_ns
         if self.refresh_enabled and self._next_ref_at <= time_ns:
             self.advance_to(time_ns)
@@ -314,15 +297,12 @@ class MemoryController:
         window up front.  Result-identical to :meth:`submit`: refresh
         bursts do not consult or mutate the address mapper, so running
         the refresh guard after translation instead of before it cannot
-        change the translation.  Callers must fall back to
-        :meth:`submit` when a profiler is attached (this path skips the
-        per-phase timers).
+        change the translation.
 
         The bank-hit arithmetic, :meth:`DramDevice.access_mapped`
-        dispatch, and :meth:`_account` bookkeeping are inlined (exactly
-        as :meth:`submit_columnar` inlines them) — this method runs once
-        per scheduled request and the calls it replaces are pure
-        overhead at that frequency."""
+        dispatch, and :meth:`_account` bookkeeping are inlined — this
+        method runs once per scheduled request and the calls it replaces
+        are pure overhead at that frequency."""
         time_ns = request.time_ns
         if self.refresh_enabled and self._next_ref_at <= time_ns:
             self.advance_to(time_ns)
@@ -417,10 +397,6 @@ class MemoryController:
         """
         if not requests:
             return []
-        if self.profiler is not None:
-            # The profiled path services per request; the final stats are
-            # identical, only the locals-accumulation trick is skipped.
-            return [self._submit_profiled(request) for request in requests]
         device = self.device
         banks = device.banks
         tBL = device.timings.tBL
@@ -524,145 +500,19 @@ class MemoryController:
         stats.busy_until_ns = busy_until
         return completions
 
-    def submit_columnar(self, batch) -> int:
-        """Service a struct-of-arrays burst
-        (:class:`~repro.sim.columnar.ColumnarBatch`) in order; returns
-        the burst completion time (max ``ready_at`` over the batch, or 0
-        for an empty batch).
-
-        Result-identical to ``submit_batch(batch.to_requests())``: the
-        per-request refresh guard, gate/observer/counter side effects and
-        all statistics land exactly as on the object path.  What the
-        columnar path removes is the per-request object traffic — no
-        ``MemoryRequest``/``CompletedRequest`` allocations, addresses
-        come from one :meth:`AddressMapper.lines_to_ddr_bulk` call, and
-        row-buffer hits (runs of requests hitting the same (bank, row))
-        are retired inline without entering the device; only ACT
-        boundaries (miss/conflict) delegate to the device so disturbance
-        physics and defense hooks fire per activation as always.
-
-        Tracing and profiling ride the fast path: the bulk engine
-        defers per-ACT trace data into the same columns it already
-        keeps and emits one
-        :class:`~repro.obs.columnar.ColumnarTraceRecord` per flushed
-        segment (``TraceBus.emit_bulk``), whose expansion is
-        bit-identical to the scalar event stream; an attached profiler
-        is fed the columnar phases (``translate_bulk`` /
-        ``disturb_bulk``) instead of forcing a demotion.  When every
-        ACT subscriber provides a bulk twin the batch runs on the fully
-        vectorized engine (:meth:`_submit_columnar_bulk`); a scalar-only
-        observer routes it through the ordered per-request columnar loop
-        instead — counted in ``mc.columnar_fallbacks`` (total and
-        ``mc.columnar_fallbacks.scalar_observer``) and emitting a
-        ``columnar_fallback`` trace event carrying the reason.  (DMA
-        never reaches this path: the columnar container refuses DMA
-        requests by construction.)
-        """
-        line_col = batch.line
-        n = len(line_col)
-        if n == 0:
-            return 0
-        profiler = self.profiler
-        if profiler is None:
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-        else:
-            t0 = _time.perf_counter()
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-            profiler.add(
-                "translate_bulk", _time.perf_counter() - t0, calls=n
-            )
-        if None in self._act_observer_bulk:
-            self._note_columnar_fallback(
-                "scalar_observer", n, batch.issue_ns[0]
-            )
-            return self._submit_columnar_scalar(batch, addresses)
-        return self._submit_columnar_bulk(
-            addresses, line_col, batch.is_write, batch.issue_ns,
-            batch.domain, n,
-        )
-
-    @property
-    def supports_columnar_run(self) -> bool:
-        """Whether a whole multi-window run may be serviced in one
-        engine call (:meth:`submit_columnar_run`): every ACT observer
-        must provide a bulk twin (a scalar-only observer needs the
-        per-window ordered fallback) and no interrupt handler may be
-        subscribed — a handler can remap pages *between* windows, which
-        would invalidate the run's pre-translated address column."""
-        if None in self._act_observer_bulk:
-            return False
-        for counter in self.counters.values():
-            if counter._handlers:
-                return False
-        return True
-
-    def submit_columnar_run(
-        self, line_col, write_col, domain,
-        window_sizes: List[int], start_ns: int,
-    ) -> int:
-        """Service a whole chunk of MLP windows in one engine call.
-
-        ``line_col``/``write_col`` are ``array('q')``/``array('b')``
-        columns covering every window back to back; ``window_sizes``
-        (each >= 1, summing to ``len(line_col)``) are the submission
-        units.  ``domain`` is one trust-domain id (or ``None``) applied
-        to every request, or a prebuilt per-element ``array('q')``
-        column (the shared-queue runners interleave tenants).  Semantically identical to the per-window loop the
-        columnar runners previously drove — each window is issued at the
-        completion time of the one before it (``now = max(now, done)``),
-        refresh boundaries and counter overflows behave per request —
-        but address translation, the observer-capability check and the
-        engine prelude run once per chunk instead of once per window.
-        With observers attached (or tracing on) deferred ACT events
-        still flush at every window boundary, so defense state advances
-        exactly where the per-window loop advanced it; callers must
-        check :attr:`supports_columnar_run` first.
-
-        Returns the final window's completion time (>= ``start_ns``).
-        """
-        n = len(line_col)
-        if n == 0:
-            return start_ns
-        if not self.supports_columnar_run:
-            raise RuntimeError(
-                "submit_columnar_run needs bulk-capable observers and no "
-                "interrupt handlers; check supports_columnar_run first"
-            )
-        profiler = self.profiler
-        if profiler is None:
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-        else:
-            t0 = _time.perf_counter()
-            addresses = self.mapper.lines_to_ddr_bulk(line_col)
-            profiler.add(
-                "translate_bulk", _time.perf_counter() - t0, calls=n
-            )
-        if isinstance(domain, _array):
-            # per-element domain column (the shared-queue interleave)
-            if len(domain) != n:
-                raise ValueError("domain column length disagrees with batch")
-            dom_col = domain
-        else:
-            dom_col = _array("q", (-1 if domain is None else domain,)) * n
-        return self._submit_columnar_bulk(
-            addresses, line_col, write_col, None, dom_col, n,
-            window_sizes=window_sizes, start_ns=start_ns,
-        )
-
     @property
     def supports_chain(self) -> bool:
         """Whether :meth:`submit_chain` may service a hammer chain.
 
-        It may when no trace sink is enabled and no profiler is attached
-        (their legs stay on the per-request path), every ACT observer
-        has a bulk twin, and nobody wrapped the disturbance tracker's
-        per-ACT hook on the instance (profiling and the deep invariant
-        probes do; the bulk engine never calls that hook).  Subscribed
-        interrupt handlers do not matter: they run inside the chain,
-        between the caller's ``before`` and ``after`` callbacks."""
+        It may when no trace sink is enabled (traced runs stay on the
+        per-request path), every ACT observer has a bulk twin, and
+        nobody wrapped the disturbance tracker's per-ACT hook on the
+        instance (the deep invariant probes do; the chain never calls
+        that hook).  Subscribed interrupt handlers do not matter: they
+        run inside the chain, between the caller's ``before`` and
+        ``after`` callbacks."""
         return (
             not self.trace.enabled
-            and self.profiler is None
             and None not in self._act_observer_bulk
             and "on_activate" not in vars(self.device.tracker)
         )
@@ -710,8 +560,32 @@ class MemoryController:
         Returns ``(reads serviced, clock)``, where the clock is the
         retire time of the last serviced read (``start_ns`` if none).
         Callers must check :attr:`supports_chain` first.
+
+        The per-ACT side effects run in column space:
+
+        * disturbance accrual is deferred into address/row/time columns
+          and flushed through :meth:`DisturbanceTracker.on_activate_bulk`
+          (at refresh boundaries, counter overflows and the end of the
+          call, the points where tracker state becomes observable), and
+          ACT observers get the same columns through their bulk twins;
+        * per-channel ACT counts are kept in locals; quiet runs settle
+          via :meth:`ActCounter.absorb` and each overflow routes through
+          the counter's own scalar path, so jitter redraw, delivery
+          filtering and handler dispatch are exact.  Before a handler
+          runs, every channel's count, ``stats.acts`` and the per-domain
+          histogram are synchronised, and every hoisted value is re-read
+          afterwards because handlers may re-enter the controller
+          (targeted refreshes, uncore moves, counter reconfiguration);
+        * ``settled`` comes from marking the tracker and the deferred
+          columns at each round boundary and reading each flushed
+          flip's position.
+
+        In-DRAM mitigations (:attr:`DramDevice.mitigation`) stay inline
+        per ACT: their tables are only *read* at refresh bursts, which
+        the engine always runs on flushed state.
         """
         n = len(line_col)
+        device = self.device
         # A hammer chain touches a handful of distinct lines, and a
         # column that repeats its first round is mapped one round at a
         # time.
@@ -720,7 +594,7 @@ class MemoryController:
         if rest or unit * repeat != line_col:
             unit, repeat = line_col, 1
         distinct = list(dict.fromkeys(unit))
-        bank_index_of = self.device._bank_index
+        bank_index_of = device._bank_index
         address_of = {}
         bank_of = {}
         for line, address in zip(distinct,
@@ -729,265 +603,9 @@ class MemoryController:
             bank_of[line] = bank_index_of[
                 (address.channel, address.rank, address.bank)
             ]
-        return self._submit_columnar_bulk(
-            list(map(address_of.__getitem__, unit)) * repeat, line_col,
-            _array("b", (0,)) * n, None,
-            _array("q", (-1 if domain is None else domain,)) * n, n,
-            bank_ids=list(map(bank_of.__getitem__, unit)) * repeat,
-            start_ns=start_ns, chain_round=round_len, flush_ns=flush_ns,
-            fill_ns=fill_ns, deadline_ns=deadline_ns,
-            before=before, after=after,
-        )
+        addresses = list(map(address_of.__getitem__, unit)) * repeat
+        bank_ids = list(map(bank_of.__getitem__, unit)) * repeat
 
-    def _note_columnar_fallback(
-        self, reason: str, size: int, time_ns: int
-    ) -> None:
-        """A columnar batch is being serviced via the object/scalar
-        path: count it — total plus the per-reason
-        ``mc.columnar_fallbacks.<reason>`` breakdown (reasons drawn from
-        :data:`repro.mc.stats.FALLBACK_REASONS`) — and put the same
-        reason on the trace so silent delegation is diagnosable."""
-        self.stats.note_columnar_fallback(reason)
-        if self.trace.enabled:
-            self.trace.emit(
-                _ev.COLUMNAR_FALLBACK, time_ns, reason=reason, size=size,
-            )
-
-    def _submit_columnar_scalar(self, batch, addresses) -> int:
-        """Ordered per-request columnar loop (the segmented fallback).
-
-        Keeps the columnar container's allocation savings but services
-        each request through the exact scalar sequence — device call,
-        per-ACT counter, per-ACT observers — so stateful subscribers
-        (vendor TRR samplers, scalar-only defense observers) see events
-        in precisely the order the object path would deliver them.
-        When tracing, the per-request events are emitted inline at the
-        same points (and with the same payloads) as
-        :meth:`_trace_access`.
-        """
-        line_col = batch.line
-        n = len(line_col)
-        device = self.device
-        banks = device.banks
-        timings = device.timings
-        tBL = timings.tBL
-        tCL = timings.tCL
-        access_mapped = device.access_mapped
-        bus = self._bus_busy_until
-        gates = self._act_gates
-        closed = self.page_policy == "closed"
-        refresh_enabled = self.refresh_enabled
-        stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-
-        reads = writes = hits = misses = conflicts = 0
-        latency_ns = 0
-        busy_until = stats.busy_until_ns
-        batch_done = 0
-
-        for i in range(n):
-            time_ns = time_col[i]
-            if refresh_enabled and self._next_ref_at <= time_ns:
-                self.advance_to(time_ns)
-            address = addresses[i]
-            bank = banks[(address.channel, address.rank, address.bank)]
-            open_row = bank.open_row
-            row = address.row
-            if open_row == row:
-                # Inline of BankState.access's hit branch: consecutive
-                # same-row requests to a bank retire at burst rate with
-                # no device call.
-                hits += 1
-                busy = bank.busy_until
-                start = time_ns if time_ns >= busy else busy
-                bank.row_hits += 1
-                bank.busy_until = start + tBL
-                data_at_bank = start + tCL
-                will_act = False
-                domain = None
-            else:
-                will_act = True
-                if open_row is None:
-                    misses += 1
-                else:
-                    conflicts += 1
-                domain = dom_col[i]
-                if domain < 0:
-                    domain = None
-                now = time_ns
-                throttled = 0
-                if gates:
-                    for gate in gates:
-                        throttled += gate(address, now, domain)
-                    if throttled:
-                        now += throttled
-                        stats.throttle_stalls_ns += throttled
-                data_at_bank, flips = access_mapped(
-                    bank, address, now, domain
-                )
-            bus_free = bus[address.channel]
-            transfer_start = (
-                data_at_bank if data_at_bank > bus_free else bus_free
-            )
-            done = transfer_start + tBL
-            bus[address.channel] = done
-            if closed:
-                bank.precharge(data_at_bank)
-            if will_act:
-                if tracing:
-                    # Inline of _trace_access for the columnar request
-                    # shape (hits emit nothing on the scalar path, so
-                    # the hit branch above stays event-free).
-                    trace.emit(
-                        _ev.ACT, now,
-                        channel=address.channel, rank=address.rank,
-                        bank=address.bank, row=row,
-                        line=line_col[i], domain=domain, dma=False,
-                    )
-                    if open_row is not None:
-                        trace.emit(
-                            _ev.ROW_CONFLICT, now,
-                            channel=address.channel, rank=address.rank,
-                            bank=address.bank, row=row,
-                            closed_row=open_row,
-                            line=line_col[i], domain=domain,
-                        )
-                    if throttled:
-                        trace.emit(
-                            _ev.THROTTLE_STALL, time_ns,
-                            channel=address.channel, rank=address.rank,
-                            bank=address.bank, row=row,
-                            stall_ns=throttled, domain=domain,
-                        )
-                    for flip in flips:
-                        trace.emit(
-                            _ev.BIT_FLIP, flip.time_ns,
-                            victim=list(flip.victim),
-                            aggressor=list(flip.aggressor),
-                            aggressor_domain=flip.aggressor_domain,
-                            victim_domains=sorted(flip.victim_domains),
-                            bits=flip.flipped_bits,
-                        )
-                self._note_act(address, done, line_col[i], domain, False)
-
-            if write_col[i]:
-                writes += 1
-            else:
-                reads += 1
-            latency_ns += done - time_ns
-            if done > busy_until:
-                busy_until = done
-            if done > batch_done:
-                batch_done = done
-
-        stats.reads += reads
-        stats.writes += writes
-        stats.row_hits += hits
-        stats.row_misses += misses
-        stats.row_conflicts += conflicts
-        stats.total_request_latency_ns += latency_ns
-        stats.busy_until_ns = busy_until
-        return batch_done
-
-    def _submit_columnar_bulk(
-        self,
-        addresses: List[DdrAddress],
-        line_col,
-        write_col,
-        time_col,
-        dom_col,
-        n: int,
-        bank_ids: Optional[List[int]] = None,
-        window_sizes: Optional[List[int]] = None,
-        start_ns: int = 0,
-        reorder=None,
-        chain_round: Optional[int] = None,
-        flush_ns: int = 0,
-        fill_ns: int = 0,
-        deadline_ns: Optional[int] = None,
-        before: Optional[Callable[[int, int], None]] = None,
-        after: Optional[Callable[[], bool]] = None,
-    ) -> Union[int, Tuple[int, int]]:
-        """The fully vectorized columnar engine (tier 3).
-
-        Result-identical to :meth:`_submit_columnar_scalar` (hence to
-        ``submit_batch``), with the per-ACT side effects run in column
-        space:
-
-        * disturbance accrual is deferred into address/row/time vectors
-          and flushed through :meth:`DisturbanceTracker.on_activate_bulk`
-          (at refresh boundaries, counter overflows, and batch end — all
-          points where tracker state becomes externally observable);
-        * per-channel ACT counters are kept in hoisted locals; quiet runs
-          settle via :meth:`ActCounter.absorb` and each overflow routes
-          through the counter's own scalar path, so jitter redraw,
-          delivery filtering and handler dispatch are exact.  Before a
-          handler runs, *every* channel's count, ``stats.acts`` and the
-          per-domain histogram are synchronised — handlers observe the
-          same architectural state the scalar path would show them — and
-          every hoisted value is re-read afterwards because handlers may
-          re-enter the controller (targeted refreshes, uncore moves,
-          counter reconfiguration);
-        * ``mc.*`` throughput counters and the per-domain ACT histogram
-          accumulate in locals and flush once, exactly like
-          ``submit_batch``'s locals trick.
-
-        In-DRAM mitigations (:attr:`DramDevice.mitigation`) stay inline
-        per ACT: their tables are only *read* at refresh bursts, which
-        the engine always runs on flushed state.
-
-        With tracing enabled the engine stays on this path: per-ACT
-        trace data (service time, stall, closed row, line) rides in
-        parallel deferred columns and each flushed segment goes out as
-        one :class:`~repro.obs.columnar.ColumnarTraceRecord` whose
-        expansion reproduces the scalar event stream exactly — segments
-        break at refresh boundaries and counter overflows, the very
-        points where the scalar path would interleave foreign events.
-
-        ``window_sizes`` switches the engine into *windowed* mode (the
-        :meth:`submit_columnar_run` chunk path): ``time_col`` is ignored
-        and every request of window ``w`` is issued at that window's
-        start time — ``start_ns`` for the first, then
-        ``max(previous_start, previous_completion)`` — reproducing the
-        outer per-window submit loop's timing exactly.  With observers
-        attached or tracing on, deferred ACT events additionally flush
-        at each window boundary so defense gates read state advanced to
-        precisely where the per-window loop would have advanced it;
-        otherwise segments are free to span windows (same results,
-        bigger vectors).  The return value is then the final window's
-        completion time rather than the batch max.
-
-        ``reorder`` (windowed mode only) is invoked at each window
-        boundary as ``reorder(start, end, now)`` — after the previous
-        window's deferred events flushed, before any of the window's
-        requests issue — so a scheduler can read *live* bank state and
-        permute the window's column slices in place
-        (:meth:`BatchScheduler.issue_columnar_run` drives FR-FCFS this
-        way).  Requests in a window share one issue time, so a due
-        refresh burst can only fire at the window's first element:
-        state the hook reads is exactly the state a per-window
-        scheduler call would have read.
-
-        ``chain_round`` switches the engine into *dependent-chain* mode
-        (the :meth:`submit_chain` path): ``time_col`` is ignored, the
-        columns come in rounds of ``chain_round`` requests, and each
-        request issues ``flush_ns`` after the clock (``start_ns``, then
-        each request's completion plus ``fill_ns``).  The engine stops
-        before a round that starts at or after ``deadline_ns``.  An
-        overflow on a channel with subscribed handlers calls
-        ``before(i, settled)`` after the flush and synchronisation
-        above, then the handlers, then ``after()``; when that returns
-        False the engine ends with request ``i``.  ``settled`` counts
-        the tracker flips that ACTs of earlier rounds account for: the
-        engine marks the tracker and the deferred columns at each round
-        boundary and reads each flushed flip's position.  The return
-        value is ``(requests serviced, clock)``.
-        """
-        device = self.device
         timings = device.timings
         tBL = timings.tBL
         tCL = timings.tCL
@@ -1006,48 +624,36 @@ class MemoryController:
         to_internal = remapper.to_internal
         counters = self.counters
         bank_list = device.bank_list
-        if bank_ids is None:
-            bank_index_of = device._bank_index
-            bank_ids = [
-                bank_index_of[(a.channel, a.rank, a.bank)]
-                for a in addresses
-            ]
+        domain_key = -1 if domain is None else domain
 
-        trace = self.trace
-        tracing = trace.enabled
-        profiler = self.profiler
-        perf = _time.perf_counter
-
-        # Deferred ACT event columns, flushed together: logical address,
-        # internal row (remapped configs only), ACT completion time for
-        # the tracker, request completion time for observers, domain.
+        # Deferred ACT columns, flushed together: logical address,
+        # internal row (remapped configs only), flat bank id, ACT
+        # completion time for the tracker, request completion time for
+        # observers.
         act_addr: List[DdrAddress] = []
         act_row: List[int] = []
         act_bid: List[int] = []
         act_t: List[int] = []
         act_done: List[int] = []
-        act_dom: List[Optional[int]] = []
-        # Trace-only parallel columns: post-throttle service time (the
-        # scalar ACT event timestamp), stall, closed row, physical line.
-        act_now: List[int] = []
-        act_stall: List[int] = []
-        act_closed: List[Optional[int]] = []
-        act_line: List[int] = []
         have_observers = bool(self._act_observers)
+        # ``watch``: some handler may run inside the chain, so flips are
+        # attributed to rounds: ``settled`` is the tracker flip count
+        # that earlier rounds account for and ``round_acts`` the
+        # deferred ACTs of earlier rounds not yet flushed.
+        watch = any(k._handlers for k in counters.values())
+        settled = round_acts = 0
 
         def flush_events() -> None:
-            nonlocal act_addr, act_row, act_bid, act_t, act_done, act_dom
-            nonlocal act_now, act_stall, act_closed, act_line
+            nonlocal act_addr, act_row, act_bid, act_t, act_done
             nonlocal settled, round_acts
             if not act_t:
                 return
+            act_dom = [domain] * len(act_t)
             # Rows and flat bank ids ride along as plain int columns so
-            # the tracker's numpy kernel skips its attribute walks.
-            if profiler is not None:
-                d0 = perf()
-            if tracing or watch:
+            # the tracker's kernels skip their attribute walks.
+            if watch:
                 flip_positions: List[int] = []
-                flips = tracker.on_activate_bulk(
+                tracker.on_activate_bulk(
                     act_addr, act_t, act_dom,
                     rows=act_row, bank_ids=act_bid,
                     out_positions=flip_positions,
@@ -1062,31 +668,6 @@ class MemoryController:
                     act_addr, act_t, act_dom,
                     rows=act_row, bank_ids=act_bid,
                 )
-            if profiler is not None:
-                profiler.add("disturb_bulk", perf() - d0, calls=len(act_t))
-            if tracing:
-                # The record takes ownership of the deferred columns —
-                # they are *rebound* below, never cleared, so handing
-                # them over without copies is safe (the record is frozen
-                # and nothing mutates its columns after construction).
-                trace.emit_bulk(ColumnarTraceRecord(
-                    time_ns=act_now[0],
-                    channel=[a.channel for a in act_addr],
-                    rank=[a.rank for a in act_addr],
-                    bank=[a.bank for a in act_addr],
-                    row=[a.row for a in act_addr],
-                    line=act_line,
-                    domain=act_dom,
-                    act_ns=act_now,
-                    stall_ns=act_stall,
-                    closed_row=act_closed,
-                    flip_pos=flip_positions,
-                    flips=[flip_payload(flip) for flip in flips],
-                ))
-                act_now = []
-                act_stall = []
-                act_closed = []
-                act_line = []
             if have_observers:
                 observers = self._act_observers
                 observer_bulk = self._act_observer_bulk
@@ -1095,20 +676,18 @@ class MemoryController:
                     if bulk is not None:
                         bulk(act_addr, act_done, act_dom)
                     else:
-                        # A scalar-only observer appeared mid-batch (an
+                        # A scalar-only observer appeared mid-chain (an
                         # interrupt handler installed it): replay in
-                        # order rather than crash; the next batch will
-                        # take the segmented path from the start.
+                        # order rather than crash; the next chain call
+                        # is refused by supports_chain.
                         scalar = observers[index]
                         for k in range(len(act_done)):
-                            scalar(act_addr[k], act_done[k], act_dom[k],
-                                   False)
+                            scalar(act_addr[k], act_done[k], domain, False)
             act_addr = []
             act_row = []
             act_bid = []
             act_t = []
             act_done = []
-            act_dom = []
 
         # Hoisted per-channel counter state; pending = ACTs counted
         # locally but not yet settled into the counter object.
@@ -1118,87 +697,34 @@ class MemoryController:
 
         next_ref = self._next_ref_at
         acts_delta = 0
-        dom_delta: Dict[int, int] = {}
-
-        reads = writes = hits = misses = conflicts = 0
+        hits = misses = conflicts = 0
         latency_ns = 0
         busy_until = stats.busy_until_ns
-        batch_done = 0
-
-        # Windowed-mode bookkeeping: window_end == -1 disables the
-        # boundary branch entirely for plain batches.
-        windowed = window_sizes is not None
-        window_end = 0 if windowed else -1
-        now_window = start_ns
-        time_ns = 0
-        if windowed:
-            window_iter = iter(window_sizes)
-            # Tracing pins one ColumnarTraceRecord per window (matching
-            # what per-window submit_columnar calls would emit), so the
-            # deferred events must flush at every boundary.  Plain bulk
-            # observers honor the element-wise on_activate_bulk contract
-            # (the windowed path is only entered when every observer has
-            # a bulk twin and no interrupt handler is armed), so their
-            # delivery can batch across windows: overflow seams and REF
-            # sweeps still flush exactly, and larger event columns let
-            # the tracker's numpy kernel engage instead of its fused
-            # scalar twin.
-            flush_per_window = tracing
-
-        # Chain-mode bookkeeping.  ``watch``: some handler may run inside
-        # the chain, so flips are attributed to rounds: ``settled`` is
-        # the tracker flip count that earlier rounds account for and
-        # ``round_acts`` the deferred ACTs of earlier rounds not yet
-        # flushed.  ``stop``: ``after()`` ended the chain.
-        chained = chain_round is not None
         clock = start_ns
-        round_end = 0 if chained else -1
+        round_end = 0
         serviced = n
-        watch = chained and any(k._handlers for k in counters.values())
-        settled = round_acts = 0
         stop = False
 
         def sync_acts() -> None:
             nonlocal acts_delta
             if acts_delta:
                 stats.acts += acts_delta
-                acts_delta = 0
-            if dom_delta:
                 histogram = stats.acts_by_domain
-                for key, value in dom_delta.items():
-                    histogram[key] = histogram.get(key, 0) + value
-                dom_delta.clear()
+                histogram[domain_key] = (
+                    histogram.get(domain_key, 0) + acts_delta
+                )
+                acts_delta = 0
 
         for i in range(n):
-            if i == window_end:
-                # Window boundary: the next window issues when the
-                # previous one has fully drained (or immediately, for
-                # the first).  Flushing deferred events here keeps
-                # observer/tracer granularity at one window, matching
-                # what per-window submit_columnar calls would produce.
-                if batch_done > now_window:
-                    now_window = batch_done
-                batch_done = 0
-                if flush_per_window:
-                    flush_events()
-                window_end = i + next(window_iter)
-                if reorder is not None:
-                    reorder(i, window_end, now_window)
-                time_ns = now_window
-            elif windowed:
-                time_ns = now_window
-            elif chained:
-                if i == round_end:
-                    if deadline_ns is not None and clock >= deadline_ns:
-                        serviced = i
-                        break
-                    round_end = i + chain_round
-                    if watch:
-                        settled = len(tracker.flips)
-                        round_acts = len(act_t)
-                time_ns = clock + flush_ns
-            else:
-                time_ns = time_col[i]
+            if i == round_end:
+                if deadline_ns is not None and clock >= deadline_ns:
+                    serviced = i
+                    break
+                round_end = i + round_len
+                if watch:
+                    settled = len(tracker.flips)
+                    round_acts = len(act_t)
+            time_ns = clock + flush_ns
             if refresh_enabled and next_ref <= time_ns:
                 # Refresh reads tracker and mitigation state: flush the
                 # deferred events so the sweep sees exactly what the
@@ -1222,12 +748,9 @@ class MemoryController:
                 will_act = False
             else:
                 will_act = True
-                domain = dom_col[i]
-                if domain < 0:
-                    domain = None
                 now = time_ns
-                throttled = 0
                 if gates:
+                    throttled = 0
                     for gate in gates:
                         throttled += gate(address, now, domain)
                     if throttled:
@@ -1265,12 +788,6 @@ class MemoryController:
                 )
                 act_bid.append(bank_ids[i])
                 act_t.append(data_at_bank)
-                act_dom.append(domain)
-                if tracing:
-                    act_now.append(now)
-                    act_stall.append(throttled)
-                    act_closed.append(open_row)
-                    act_line.append(line_col[i])
             bus_free = bus[channel]
             transfer_start = (
                 data_at_bank if data_at_bank > bus_free else bus_free
@@ -1282,8 +799,6 @@ class MemoryController:
             if will_act:
                 act_done.append(done)
                 acts_delta += 1
-                domain_key = -1 if domain is None else domain
-                dom_delta[domain_key] = dom_delta.get(domain_key, 0) + 1
                 count = ch_count[channel] + 1
                 pending = ch_pending[channel] + 1
                 if count < ch_next[channel]:
@@ -1305,18 +820,7 @@ class MemoryController:
                     bracket = watch and bool(counter._handlers)
                     if bracket:
                         before(i, settled)
-                    interrupt = counter.on_act(done, line_col[i], False)
-                    if tracing and interrupt is not None:
-                        # Same position as the scalar stream: after the
-                        # flushed record (which ends with this ACT and
-                        # its flips) and any handler-emitted events.
-                        trace.emit(
-                            _ev.ACT_INTERRUPT, interrupt.time_ns,
-                            channel=interrupt.channel,
-                            count=interrupt.count_at_overflow,
-                            line=interrupt.physical_line,
-                            dma=interrupt.from_dma,
-                        )
+                    counter.on_act(done, line_col[i], False)
                     # Handlers may have re-entered the controller:
                     # re-read everything hoisted.
                     next_ref = self._next_ref_at
@@ -1327,40 +831,26 @@ class MemoryController:
                     if bracket and not after():
                         stop = True
 
-            if write_col[i]:
-                writes += 1
-            else:
-                reads += 1
             latency_ns += done - time_ns
             if done > busy_until:
                 busy_until = done
-            if done > batch_done:
-                batch_done = done
-            if chained:
-                clock = done + fill_ns
-                if stop:
-                    serviced = i + 1
-                    break
+            clock = done + fill_ns
+            if stop:
+                serviced = i + 1
+                break
 
         flush_events()
         sync_acts()
         for channel, pending in ch_pending.items():
             if pending:
                 counters[channel].absorb(pending)
-        stats.reads += reads
-        stats.writes += writes
+        stats.reads += serviced
         stats.row_hits += hits
         stats.row_misses += misses
         stats.row_conflicts += conflicts
         stats.total_request_latency_ns += latency_ns
         stats.busy_until_ns = busy_until
-        if windowed:
-            # Completion of the final window (batch_done covers only
-            # requests issued since the last boundary).
-            return now_window if now_window > batch_done else batch_done
-        if chained:
-            return serviced, clock
-        return batch_done
+        return serviced, clock
 
     def advance_to(self, now: int) -> None:
         """Execute all periodic REF bursts scheduled before ``now``."""
@@ -1542,85 +1032,6 @@ class MemoryController:
                 victim_domains=sorted(flip.victim_domains),
                 bits=flip.flipped_bits,
             )
-
-    def _submit_profiled(self, request: MemoryRequest) -> CompletedRequest:
-        """Result-identical twin of :meth:`submit` with per-phase
-        wall-clock accounting (``translate`` / ``schedule`` / ``access``;
-        the oracle's ``disturbance`` sub-span is timed by the wrapper
-        ``System.enable_profiling`` installs on the tracker)."""
-        profiler = self.profiler
-        assert profiler is not None
-        perf = _time.perf_counter
-        time_ns = request.time_ns
-
-        t0 = perf()
-        if self.refresh_enabled and self._next_ref_at <= time_ns:
-            self.advance_to(time_ns)
-        t1 = perf()
-        device = self.device
-        address = self.mapper.line_to_ddr(request.physical_line)
-        t2 = perf()
-        bank = device.banks[(address.channel, address.rank, address.bank)]
-        open_row = bank.open_row
-        if open_row == address.row:
-            outcome = "hit"
-            will_act = False
-        elif open_row is None:
-            outcome = "miss"
-            will_act = True
-        else:
-            outcome = "conflict"
-            will_act = True
-
-        now = time_ns
-        throttled = 0
-        t3 = perf()
-        if will_act:
-            for gate in self._act_gates:
-                throttled += gate(address, now, request.domain)
-            if throttled:
-                now += throttled
-                self.stats.throttle_stalls_ns += throttled
-        t4 = perf()
-
-        data_at_bank, flips = device.access_mapped(
-            bank, address, now, request.domain
-        )
-        bus = self._bus_busy_until
-        bus_free = bus[address.channel]
-        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
-        done = transfer_start + device.timings.tBL
-        bus[address.channel] = done
-        if self.page_policy == "closed":
-            bank.precharge(data_at_bank)
-        t5 = perf()
-
-        profiler.add("schedule", (t1 - t0) + (t4 - t3))
-        profiler.add("translate", t2 - t1, calls=1)
-        profiler.add("access", t5 - t4)
-
-        trace = self.trace
-        if trace.enabled:
-            self._trace_access(
-                trace, address, request, outcome, open_row, will_act,
-                throttled, now, flips,
-            )
-        if will_act:
-            self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-        self._account(request, outcome, done)
-        return CompletedRequest(
-            request=request,
-            address=address,
-            ready_at_ns=done,
-            caused_act=will_act,
-            buffer_outcome=outcome,
-            throttled_ns=throttled,
-            flips=flips,
-        )
 
     def _account(self, request: MemoryRequest, outcome: str, done: int) -> None:
         if request.is_write:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -212,46 +212,10 @@ class ActCounter:
                     self.on_handler_error(delivered, handler, error)
         return delivered
 
-    def on_act_bulk(
-        self,
-        times: Sequence[int],
-        physical_lines: Sequence[int],
-        from_dma: Sequence[bool],
-    ) -> List[ActInterrupt]:
-        """Record a vector of ACTs; return every interrupt *delivered*.
-
-        Exactly equivalent to calling :meth:`on_act` per element — the
-        runs of ACTs that cannot reach the overflow point are absorbed
-        in O(1) bookkeeping, and each crossing is handed to the scalar
-        path so jitter redraw, delivery filtering, and handler dispatch
-        behave identically.
-        """
-        count = len(times)
-        delivered: List[ActInterrupt] = []
-        index = 0
-        while index < count:
-            # ACTs that leave the count strictly below the overflow
-            # point cannot raise an interrupt: absorb them wholesale.
-            headroom = self._next_overflow_at - self._count - 1
-            if headroom > 0:
-                take = headroom if headroom < count - index else count - index
-                self._count += take
-                self.total_acts += take
-                index += take
-                if index >= count:
-                    break
-            interrupt = self.on_act(
-                times[index], physical_lines[index], from_dma[index]
-            )
-            if interrupt is not None:
-                delivered.append(interrupt)
-            index += 1
-        return delivered
-
     def absorb(self, count: int) -> None:
         """Count ``count`` ACTs known not to reach the overflow point.
 
-        The columnar engine's batch-end synchronisation: it tracks the
+        The chain engine's batch-end synchronisation: it tracks the
         live count locally (dispatching through :meth:`on_act` at each
         crossing) and settles the quiet remainder here.  Refuses a run
         that would cross — that must go through :meth:`on_act` so the

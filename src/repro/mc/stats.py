@@ -12,20 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-#: the fixed vocabulary of columnar-demotion reasons; every one is a
-#: ``mc.columnar_fallbacks.<reason>`` key in :meth:`ControllerStats.snapshot`
-#: (present at 0 even when it never fired) and rides verbatim on the
-#: ``columnar_fallback`` trace event
-FALLBACK_REASONS = (
-    "trace",
-    "profiler",
-    "scalar_observer",
-    "interrupt_handlers",
-    "mixed_times",
-    "dma",
-)
-
-
 @dataclass
 class ControllerStats:
     """Aggregated counters of one memory controller."""
@@ -43,21 +29,11 @@ class ControllerStats:
     uncore_moves: int = 0  # paper's uncore move executions
     throttle_stalls_ns: int = 0  # delay added by frequency-centric throttling
     interrupt_handler_failures: int = 0  # host handlers that raised mid-dispatch
-    columnar_fallbacks: int = 0  # columnar batches serviced via the object path
     total_request_latency_ns: int = 0
     busy_until_ns: int = 0  # completion time of the latest request
     #: request-driven ACTs per trust domain (-1 = no domain); targeted /
     #: neighbour refreshes issued by defenses are deliberately excluded
     acts_by_domain: Dict[int, int] = field(default_factory=dict)
-    #: per-reason breakdown of ``columnar_fallbacks`` (see
-    #: :data:`FALLBACK_REASONS`); the total stays authoritative
-    columnar_fallback_reasons: Dict[str, int] = field(default_factory=dict)
-
-    def note_columnar_fallback(self, reason: str) -> None:
-        """Count one columnar demotion under its reason."""
-        self.columnar_fallbacks += 1
-        reasons = self.columnar_fallback_reasons
-        reasons[reason] = reasons.get(reason, 0) + 1
 
     @property
     def requests(self) -> int:
@@ -89,22 +65,8 @@ class ControllerStats:
         )
 
     def snapshot(self) -> Dict[str, float]:
-        """Plain-dict view for tables and result serialization.
-
-        Every fallback reason in :data:`FALLBACK_REASONS` is always
-        present (``columnar_fallbacks.<reason>``, 0 when clean) so
-        ``assert_covers`` pins the whole vocabulary and a smoke test can
-        assert ``mc.columnar_fallbacks.trace == 0`` without key errors.
-        """
-        reasons = self.columnar_fallback_reasons
-        per_reason = {
-            f"columnar_fallbacks.{reason}": reasons.get(reason, 0)
-            for reason in FALLBACK_REASONS
-        }
-        for reason, count in reasons.items():
-            per_reason.setdefault(f"columnar_fallbacks.{reason}", count)
+        """Plain-dict view for tables and result serialization."""
         return {
-            **per_reason,
             "reads": self.reads,
             "writes": self.writes,
             "dma_requests": self.dma_requests,
@@ -116,7 +78,6 @@ class ControllerStats:
             "uncore_moves": self.uncore_moves,
             "throttle_stalls_ns": self.throttle_stalls_ns,
             "interrupt_handler_failures": self.interrupt_handler_failures,
-            "columnar_fallbacks": self.columnar_fallbacks,
             "act_domains": len(self.acts_by_domain),
             "average_latency_ns": round(self.average_latency_ns, 2),
             "energy_proxy": round(self.energy_proxy(), 1),

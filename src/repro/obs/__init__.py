@@ -1,5 +1,5 @@
-"""Observability: structured event tracing, time-series metrics, and
-profiling for the simulator.
+"""Observability: structured event tracing and time-series metrics for
+the simulator.
 
 The paper's §4.2 primitive is itself an observability argument — a
 defense can only act on what the MC *reports*.  This package gives the
@@ -7,8 +7,7 @@ simulator the same courtesy: hot paths emit typed events onto a
 :class:`~repro.obs.trace.TraceBus` (disabled by default and free when
 disabled), counters live in a :class:`~repro.obs.registry.MetricsRegistry`
 that a :class:`~repro.obs.sampler.TimeSeriesSampler` snapshots on a
-sim-time cadence, and a :class:`~repro.obs.profiler.PhaseProfiler`
-attributes wall-clock time to the request path's phases.
+sim-time cadence.
 
 ``repro.obs.runtime.observe`` is the one-stop entry point: systems built
 inside the context pick up the configured sink and sampler automatically,
@@ -21,7 +20,6 @@ from repro.obs.events import (
     ACT_INTERRUPT,
     BIT_FLIP,
     CAMPAIGN_RESUME,
-    COLUMNAR_ACTS,
     EVENT_KINDS,
     FAULT_INJECTED,
     HANDLER_ERROR,
@@ -37,9 +35,7 @@ from repro.obs.events import (
     UNCORE_MOVE,
     WORKER_RETRY,
 )
-from repro.obs.columnar import ColumnarTraceRecord, expand_events, flip_payload
 from repro.obs.inspect import TraceSummary, render_summary, summarize_events
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TimeSeries, TimeSeriesSampler
 from repro.obs.trace import (
@@ -59,8 +55,6 @@ __all__ = [
     "ACT_INTERRUPT",
     "BIT_FLIP",
     "CAMPAIGN_RESUME",
-    "COLUMNAR_ACTS",
-    "ColumnarTraceRecord",
     "CountingSink",
     "EVENT_KINDS",
     "FAULT_INJECTED",
@@ -72,7 +66,6 @@ __all__ = [
     "NullSink",
     "Observability",
     "POOL_RESPAWN",
-    "PhaseProfiler",
     "ROW_CONFLICT",
     "RingBufferSink",
     "SCHED_BATCH",
@@ -87,8 +80,6 @@ __all__ = [
     "TraceSummary",
     "UNCORE_MOVE",
     "WORKER_RETRY",
-    "expand_events",
-    "flip_payload",
     "iter_jsonl",
     "observe",
     "read_jsonl",

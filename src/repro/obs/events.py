@@ -21,7 +21,6 @@ kind                      emitted when
 ``throttle_stall``        an ACT gate (BlockHammer-style) delays an ACT
 ``uncore_move``           the proposed uncore move copies a line (§4.2)
 ``sched_batch``           the batch scheduler issues one outstanding window
-``columnar_fallback``     a columnar batch fell back to the object/scalar path
 ``fault_injected``        the fault plane perturbed a hardware behaviour
 ``invariant_violation``   an invariant checker caught an inconsistency
 ``handler_error``         a host-OS interrupt handler raised an exception
@@ -29,7 +28,6 @@ kind                      emitted when
 ``pool_respawn``          the supervisor replaced a broken worker pool
 ``campaign_resume``       a campaign continued from an on-disk journal
 ``cache_hit``             a seed's result came from the result cache
-``columnar_acts``         one bulk segment's ACT stream as a batch record
 ``campaign_started``      a supervised campaign began mapping seeds
 ``seed_started``          a seed was handed to a worker (or serial attempt)
 ``seed_finished``         a seed's result was delivered and journaled
@@ -43,12 +41,6 @@ The ``worker_retry``..``cache_hit`` block and the whole
 ``campaign_*``/``seed_*`` family are *harness* events: they come from
 the :mod:`repro.runtime` supervisor, not the simulated platform, so
 their ``time_ns`` is wall-clock nanoseconds rather than simulated time.
-
-``columnar_acts`` is special: it is a *batch* record (see
-:class:`repro.obs.columnar.ColumnarTraceRecord`) carrying whole columns
-of ACT data for one bulk segment.  ``expand()`` materializes the exact
-per-ACT ``act``/``row_conflict``/``throttle_stall``/``bit_flip`` stream
-the scalar path would have emitted.
 """
 
 from __future__ import annotations
@@ -65,7 +57,6 @@ BIT_FLIP = "bit_flip"
 THROTTLE_STALL = "throttle_stall"
 UNCORE_MOVE = "uncore_move"
 SCHED_BATCH = "sched_batch"
-COLUMNAR_FALLBACK = "columnar_fallback"
 FAULT_INJECTED = "fault_injected"
 INVARIANT_VIOLATION = "invariant_violation"
 HANDLER_ERROR = "handler_error"
@@ -73,7 +64,6 @@ WORKER_RETRY = "worker_retry"
 POOL_RESPAWN = "pool_respawn"
 CAMPAIGN_RESUME = "campaign_resume"
 CACHE_HIT = "cache_hit"
-COLUMNAR_ACTS = "columnar_acts"
 CAMPAIGN_STARTED = "campaign_started"
 SEED_STARTED = "seed_started"
 SEED_FINISHED = "seed_finished"
@@ -135,7 +125,6 @@ EVENT_KINDS = (
     THROTTLE_STALL,
     UNCORE_MOVE,
     SCHED_BATCH,
-    COLUMNAR_FALLBACK,
     FAULT_INJECTED,
     INVARIANT_VIOLATION,
     HANDLER_ERROR,
@@ -143,7 +132,6 @@ EVENT_KINDS = (
     POOL_RESPAWN,
     CAMPAIGN_RESUME,
     CACHE_HIT,
-    COLUMNAR_ACTS,
 ) + TELEMETRY_KINDS + SERVICE_KINDS
 
 

@@ -26,17 +26,11 @@ from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.obs.events import ACT, ROW_CONFLICT, THROTTLE_STALL, TraceEvent
 
-if False:  # typing only, avoids an import cycle at runtime
-    from repro.obs.columnar import ColumnarTraceRecord  # pragma: no cover
-
 
 class NullSink:
     """Discard everything (the disabled state; emitters never reach it)."""
 
     def write(self, event: TraceEvent) -> None:  # pragma: no cover - unused
-        pass
-
-    def write_bulk(self, record) -> None:  # pragma: no cover - unused
         pass
 
     def close(self) -> None:
@@ -60,11 +54,6 @@ class RingBufferSink:
         self._buffer.append(event)
         self.events_written += 1
 
-    def write_bulk(self, record: "ColumnarTraceRecord") -> None:
-        """Buffer one bulk segment as a single ``columnar_acts`` event
-        (costing one ring slot, however many ACTs it covers)."""
-        self.write(record.as_event())
-
     def close(self) -> None:
         pass
 
@@ -81,8 +70,8 @@ class RingBufferSink:
 
 #: One shared encoder for every sink: ``json.dumps(obj, sort_keys=True)``
 #: constructs a fresh ``JSONEncoder`` on *every* call, which is pure
-#: overhead on the traced hot path (one line per bulk segment).  The
-#: cached bound method emits byte-identical output.
+#: overhead on the traced hot path (one line per event).  The cached
+#: bound method emits byte-identical output.
 _ENCODE_SORTED = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -99,7 +88,7 @@ class JsonlSink:
     event stream — a killed process leaves at most one torn *final*
     line (which :func:`read_jsonl` tolerates), never an interleaved or
     mid-file corruption.  The stream is block-buffered (per-line
-    flushing costs a syscall per event on the bulk path), so a kill can
+    flushing costs a syscall per event), so a kill can
     also lose recently buffered complete lines; ``close`` flushes and
     fsyncs so a clean shutdown is durable on disk.  Live tailing goes
     through the campaign telemetry stream, which flushes per record —
@@ -121,13 +110,6 @@ class JsonlSink:
         )
         self.events_written += 1
         self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
-
-    def write_bulk(self, record: "ColumnarTraceRecord") -> None:
-        """Encode one bulk segment as a single ``columnar_acts`` JSONL
-        line — same crash consistency as :meth:`write` (one ``write``
-        call per line), a fraction of the bytes and encode calls of the
-        expanded stream.  ``repro inspect`` re-expands on read."""
-        self.write(record.as_event())
 
     def close(self) -> None:
         if self._stream is not None:
@@ -161,38 +143,6 @@ class CountingSink:
         if self.inner is not None:
             self.inner.write(event)
 
-    def write_bulk(self, record: "ColumnarTraceRecord") -> None:
-        """Count the *expanded* kinds — the conservation checks in
-        :mod:`repro.faults.invariants` reconcile ``act`` counts against
-        architectural counters, and a bulk record is exactly
-        ``events_total`` scalar events."""
-        counts = self._counts
-        acts = len(record.channel)
-        if acts:
-            counts[ACT] = counts.get(ACT, 0) + acts
-        conflicts = sum(
-            1 for closed in record.closed_row if closed is not None
-        )
-        if conflicts:
-            counts[ROW_CONFLICT] = counts.get(ROW_CONFLICT, 0) + conflicts
-        stalls = sum(1 for stall in record.stall_ns if stall)
-        if stalls:
-            counts[THROTTLE_STALL] = (
-                counts.get(THROTTLE_STALL, 0) + stalls
-            )
-        flips = len(record.flips)
-        if flips:
-            from repro.obs.events import BIT_FLIP
-            counts[BIT_FLIP] = counts.get(BIT_FLIP, 0) + flips
-        self.events_written += record.events_total
-        if self.inner is not None:
-            inner_bulk = getattr(self.inner, "write_bulk", None)
-            if inner_bulk is not None:
-                inner_bulk(record)
-            else:
-                for event in record.expand():
-                    self.inner.write(event)
-
     def close(self) -> None:
         if self.inner is not None:
             self.inner.close()
@@ -212,10 +162,7 @@ class SamplingSink:
     where ``phase = seed % every`` — same seed, same trace, always.  A
     kept ACT keeps its satellite ``row_conflict``/``throttle_stall``
     events; **every other kind passes through unsampled** (``bit_flip``
-    is ground truth, harness events are rare).  Bulk records are thinned
-    by the same global index (:meth:`ColumnarTraceRecord.thin`), so
-    sampling commutes with expansion: sampling the scalar stream and
-    expanding a sampled bulk stream yield the same events.
+    is ground truth, harness events are rare).
     """
 
     def __init__(
@@ -244,26 +191,6 @@ class SamplingSink:
                 self.inner.write(event)
         else:
             self.inner.write(event)
-
-    def write_bulk(self, record: "ColumnarTraceRecord") -> None:
-        count = len(record.channel)
-        every = self.every
-        phase = self.phase
-        base = self.acts_seen
-        keep = [((base + i) % every) == phase for i in range(count)]
-        self.acts_seen += count
-        if count:
-            self._keep_last = keep[-1]
-        thinned = record.thin(keep)
-        if thinned is None:
-            return
-        self.acts_kept += len(thinned.channel)
-        inner_bulk = getattr(self.inner, "write_bulk", None)
-        if inner_bulk is not None:
-            inner_bulk(thinned)
-        else:
-            for event in thinned.expand():
-                self.inner.write(event)
 
     def close(self) -> None:
         self.inner.close()
@@ -305,22 +232,6 @@ class TraceBus:
         unguarded call on a disabled bus is harmless but wasteful."""
         self.sink.write(TraceEvent(kind=kind, time_ns=time_ns, data=data))
         self.emitted += 1
-
-    def emit_bulk(self, record: "ColumnarTraceRecord") -> None:
-        """Write one bulk segment.  Sinks providing ``write_bulk`` get
-        the record whole (one encode per segment); anything else — a
-        user-supplied scalar sink — receives the expanded per-ACT
-        stream, so bulk emission never changes what a sink observes,
-        only how cheaply.  ``emitted`` counts expanded events either
-        way, keeping traced-vs-untraced accounting path-independent."""
-        write_bulk = getattr(self.sink, "write_bulk", None)
-        if write_bulk is not None:
-            write_bulk(record)
-        else:
-            write = self.sink.write
-            for event in record.expand():
-                write(event)
-        self.emitted += record.events_total
 
     def sample_every_n(self, every: int, seed: int = 0) -> SamplingSink:
         """Wrap the current sink in a deterministic 1-in-``every`` ACT

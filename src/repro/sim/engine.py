@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,7 +55,6 @@ class Engine:
         system = self.system
         obs = getattr(system, "obs", None)
         sampler = obs.sampler if obs is not None else None
-        profiler = obs.profiler if obs is not None else None
         invariants = getattr(system, "invariants", None)
         # With sampling off the sentinel keeps the per-step cost at one
         # integer-vs-inf compare; with it on, `next_sample` hoists the
@@ -83,12 +81,7 @@ class Engine:
             steps += 1
             per_actor[index] += 1
             if system.has_pending_flips():
-                if profiler is not None:
-                    start = perf_counter()
-                    flips_seen += len(system.drain_flips())
-                    profiler.add("drain", perf_counter() - start)
-                else:
-                    flips_seen += len(system.drain_flips())
+                flips_seen += len(system.drain_flips())
                 # invariants ride the drain cadence: checks run only
                 # when something happened, so quiet steps stay free
                 if invariants is not None:

@@ -33,7 +33,6 @@ from repro.hostos.domains import DomainRegistry, TrustDomain
 from repro.hostos.enclave import EnclaveRuntime
 from repro.mc.address_map import make_mapper
 from repro.mc.controller import MemoryController
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.runtime import Observability, attach_ambient
 from repro.sim.config import SystemConfig
 
@@ -230,10 +229,6 @@ class System:
             "cache.l2",
             lambda: {"bulk_hits": self.cache.bulk_hits},
         )
-        #: accesses the columnar front end had to produce per element
-        #: (pointer_chase and friends) instead of as vector columns —
-        #: the frontend smoke fails if this moves for bulk-capable kinds
-        self.gen_fallbacks = self.obs.metrics.counter("gen.scalar_fallbacks")
         # Fault plane and invariant suite (repro.faults) — built late so
         # their hooks and probes see the fully wired controller/device,
         # and imported lazily to keep sim<->faults import-cycle-free.
@@ -269,34 +264,6 @@ class System:
     @property
     def profile(self):
         return self.device.profile
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def enable_profiling(
-        self, profiler: Optional[PhaseProfiler] = None
-    ) -> PhaseProfiler:
-        """Opt into per-phase wall-clock accounting: routes the request
-        path through the controller's timed twin and wraps the
-        disturbance oracle so its share is attributed separately.
-        Results are identical; only host-side clocks are read."""
-        profiler = profiler if profiler is not None else PhaseProfiler()
-        self.obs.profiler = profiler
-        self.controller.enable_profiling(profiler)
-        tracker = self.device.tracker
-        original = tracker.on_activate
-        import time as _time
-
-        def timed_on_activate(address, time_ns, domain=None):
-            start = _time.perf_counter()
-            try:
-                return original(address, time_ns, domain)
-            finally:
-                profiler.add("disturbance", _time.perf_counter() - start)
-
-        tracker.on_activate = timed_on_activate  # type: ignore[method-assign]
-        return profiler
 
     # ------------------------------------------------------------------
     # Tenants

@@ -20,22 +20,10 @@ requests per step).
 from __future__ import annotations
 
 import random
-from array import array as _array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple
 
 from repro.mc.controller import MemoryRequest
-from repro.workloads.bulk import BulkGenerator, bulk_generation_available
-
-try:  # numpy backs the columnar front end; without it runners stay scalar
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image ships numpy
-    _np = None
-
-#: accesses generated/translated per chunk on the columnar front end —
-#: large enough to amortize the numpy kernel launches, small enough that
-#: the working columns stay cache-resident
-_CHUNK_ACCESSES = 8192
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import DomainHandle, System
@@ -64,8 +52,9 @@ def random_uniform(handle_lines: int, rng: random.Random) -> Iterator[Access]:
     ``rng.randrange(n)``: ``randrange`` rejection-samples ``getrandbits``
     (data-dependent raw-word consumption, up to 50% rejected draws),
     which no fixed-width vector kernel can reproduce — while ``random()``
-    consumes exactly two Twister words, so the bulk twin in
-    :mod:`repro.workloads.bulk` stays bit-identical on one shared stream.
+    consumes exactly two Twister words, so
+    :func:`repro.workloads.bulk.uniform_block` can draw the same stream
+    in bulk.
     """
     while True:
         line = int(rng.random() * handle_lines)
@@ -89,8 +78,8 @@ def zipfian(handle_lines: int, rng: random.Random) -> Iterator[Access]:
     """Zipf-skewed accesses (80/20-ish), 1 in 3 writes on hot lines."""
     # Approximate Zipf by exponentiating a uniform draw.  Written as
     # ``u * u * u`` (not ``u ** 3``): repeated IEEE multiplication is the
-    # one cubing that numpy reproduces bit-for-bit, so the bulk twin's
-    # integer truncation below can never straddle a final-ulp boundary.
+    # one cubing that numpy reproduces bit-for-bit, so a vectorized
+    # version of this draw truncates to the same line.
     while True:
         u = rng.random()
         line = int(handle_lines * (u * u * u))  # heavy head at low lines
@@ -197,13 +186,7 @@ class WorkloadRunner:
                 system.controller, policy=scheduler
             )
         self._rng = random.Random(seed)
-        # One stream object serves both consumption styles: the scalar
-        # paths (step, next_request) iterate it one access at a time,
-        # run_columnar pulls whole numpy columns — element-identical to
-        # the reference iterators in this module and freely mixable,
-        # because positional state lives in the BulkGenerator and random
-        # state in the shared ``Random``.
-        self._generator = BulkGenerator(name, handle.total_lines, self._rng)
+        self._generator = make_generator(name, handle.total_lines, self._rng)
         self.stepped_accesses = 0
         self.stepped_hits = 0
 
@@ -256,174 +239,6 @@ class WorkloadRunner:
             self.stepped_accesses += 1
         completions = self._batch_scheduler.issue(requests)
         return max(c.ready_at_ns for c in completions)
-
-    def run_columnar(self, accesses: int, start_ns: int = 0) -> WorkloadResult:
-        """Execute ``accesses`` accesses through the columnar fast path.
-
-        The memory-bound (uncached) view, like the ``fr-fcfs`` scheduled
-        path: every access reaches the memory controller, bypassing the
-        LLC, so ``cache_hits`` is 0 by construction.  Accesses are
-        produced in :data:`_CHUNK_ACCESSES`-sized chunks — the generator
-        emits ``(line, is_write)`` numpy columns
-        (:class:`~repro.workloads.bulk.BulkGenerator`), the MMU
-        translates and TLB-accounts the chunk through a
-        :class:`~repro.cpu.mmu.TranslationPlan` — and submitted in MLP
-        windows, each window issued at the completion time of the one
-        before, exactly as the object path's windows are.
-
-        When the controller can service a whole multi-window chunk in
-        one engine call (:attr:`MemoryController.supports_columnar_run`:
-        bulk-capable observers, no interrupt handlers) the chunk goes
-        down in a single :meth:`submit_columnar_run`; otherwise each
-        window is loaded into a reusable
-        :class:`~repro.sim.columnar.ColumnarBatch` at C speed and
-        submitted via :meth:`submit_columnar`, with the translation plan
-        re-gathered whenever an interrupt handler remapped pages between
-        windows.  A window containing an unmapped page is serviced
-        per-access so the :class:`~repro.cpu.mmu.TranslationError`
-        surfaces at exactly the faulting access with exactly the scalar
-        path's partial TLB state (the generator, which draws whole
-        chunks, may then have advanced past the faulting access).
-        Without numpy the pre-chunking scalar implementation
-        (:meth:`_run_columnar_scalar`) runs instead — same results,
-        object-free but per-access.
-
-        A short final remainder (``accesses`` not a multiple of ``mlp``)
-        is merged into the last full window rather than issued as its
-        own tiny batch: a ``min(mlp, accesses - issued)`` tail would
-        start a fresh batch at the previous window's completion time and
-        split a row-hit run across the boundary (the stub batch re-pays
-        the open-row bookkeeping its run already earned).  The last
-        window is therefore ``mlp``..``2*mlp - 1`` accesses wide.
-        """
-        from repro.sim.columnar import ColumnarBatch
-
-        if accesses < 1:
-            raise ValueError("accesses must be >= 1")
-        if not bulk_generation_available():
-            return self._run_columnar_scalar(accesses, start_ns)
-        system = self.system
-        controller = system.controller
-        submit_columnar = controller.submit_columnar
-        mmu = system.mmu
-        translate_line = mmu.translate_line
-        asid = self.handle.asid
-        source = self._generator
-        fallback_counter = getattr(system, "gen_fallbacks", None)
-        count_fallbacks = source.scalar_fallback and fallback_counter is not None
-        mlp = self.mlp
-        batch = ColumnarBatch()
-        now = start_ns
-        issued = 0
-        while issued < accesses:
-            # The window plan for this chunk: cutting chunks at window
-            # boundaries keeps the global plan identical to the
-            # unchunked rule (the merged tail can only appear in the
-            # final chunk).
-            remaining = accesses - issued
-            windows: List[int] = []
-            chunk = 0
-            while remaining and chunk < _CHUNK_ACCESSES:
-                window = mlp if remaining >= 2 * mlp else remaining
-                windows.append(window)
-                chunk += window
-                remaining -= window
-            lines_np, writes_np = source.columns(chunk)
-            if count_fallbacks:
-                fallback_counter.add(chunk)
-            plan = mmu.plan_translation(asid, lines_np)
-            if plan.fault_at >= chunk and controller.supports_columnar_run:
-                # Whole-chunk fast path.  No interrupt handlers means
-                # nothing can remap pages or shoot down TLB entries
-                # between this chunk's windows, so accounting the whole
-                # chunk upfront is order-identical to per-window.
-                plan.account(0, chunk)
-                line_col = _array("q")
-                line_col.frombytes(plan.physical_bytes(0, chunk))
-                write_col = _array("b")
-                write_col.frombytes(writes_np.tobytes())
-                now = controller.submit_columnar_run(
-                    line_col, write_col, asid, windows, now
-                )
-            else:
-                start = 0
-                for window in windows:
-                    end = start + window
-                    if plan.stale:
-                        plan.refresh(start)
-                    if plan.fault_at < end:
-                        # Per-access window: surfaces TranslationError
-                        # at the exact access with exact TLB state.
-                        batch.clear()
-                        for i in range(start, end):
-                            line = translate_line(asid, int(lines_np[i]))
-                            batch.append(
-                                line, bool(writes_np[i]), now, asid
-                            )
-                    else:
-                        plan.account(start, end)
-                        batch.load_window(
-                            plan.physical_bytes(start, end),
-                            writes_np[start:end].tobytes(),
-                            now, asid, window,
-                        )
-                    done = submit_columnar(batch)
-                    if done > now:
-                        now = done
-                    start = end
-            issued += chunk
-        self.stepped_accesses += issued
-        return WorkloadResult(
-            accesses=issued,
-            started_ns=start_ns,
-            finished_ns=now,
-            cache_hits=0,
-        )
-
-    def _run_columnar_scalar(
-        self, accesses: int, start_ns: int = 0
-    ) -> WorkloadResult:
-        """Pre-vectorization :meth:`run_columnar`: per-access generation
-        and translation filling reusable columns.  The no-numpy fallback
-        and the reference the differential suite pins the bulk front end
-        against."""
-        from repro.sim.columnar import ColumnarBatch
-
-        if accesses < 1:
-            raise ValueError("accesses must be >= 1")
-        submit_columnar = self.system.controller.submit_columnar
-        physical_line = self.handle.physical_line
-        asid = self.handle.asid
-        generator = self._generator
-        mlp = self.mlp
-        batch = ColumnarBatch()
-        line_col = batch.line
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-        now = start_ns
-        issued = 0
-        while issued < accesses:
-            remaining = accesses - issued
-            window = mlp if remaining >= 2 * mlp else remaining
-            batch.clear()
-            for _ in range(window):
-                vline, is_write = next(generator)
-                line_col.append(physical_line(vline))
-                write_col.append(1 if is_write else 0)
-                time_col.append(now)
-                dom_col.append(asid)
-            done = submit_columnar(batch)
-            if done > now:
-                now = done
-            issued += window
-        self.stepped_accesses += issued
-        return WorkloadResult(
-            accesses=issued,
-            started_ns=start_ns,
-            finished_ns=now,
-            cache_hits=0,
-        )
 
     def run(self, accesses: int, start_ns: int = 0) -> WorkloadResult:
         """Execute ``accesses`` accesses; returns timing and hit stats."""
@@ -508,197 +323,4 @@ class SharedQueueRunner:
         while issued < accesses:
             now = self.step(now)
             issued += self.window
-        return now
-
-    def step_columnar(self, now: int, batch) -> int:
-        """Issue one shared window through the columnar fast path.
-
-        Draws the same round-robin interleave as :meth:`step` — each
-        source's generator advances identically — but fills the caller's
-        reusable :class:`~repro.sim.columnar.ColumnarBatch` instead of
-        constructing request objects, then hands the window to
-        :meth:`~repro.mc.scheduler.BatchScheduler.issue_columnar`.
-        """
-        batch.clear()
-        line_col = batch.line
-        write_col = batch.is_write
-        time_col = batch.issue_ns
-        dom_col = batch.domain
-        sources = self.sources
-        count = len(sources)
-        for index in range(self.window):
-            source = sources[index % count]
-            vline, is_write = next(source._generator)
-            source.stepped_accesses += 1
-            line_col.append(source.handle.physical_line(vline))
-            write_col.append(1 if is_write else 0)
-            time_col.append(now)
-            dom_col.append(source.handle.asid)
-        done = self.scheduler.issue_columnar(batch)
-        self.steps += 1
-        return done if done > now else now
-
-    def run_columnar(self, accesses: int, start_ns: int = 0) -> int:
-        """Columnar twin of :meth:`run`: same windows, same finish time,
-        serviced through the struct-of-arrays engine.
-
-        With numpy available the front end is bulk: each source's
-        generator emits whole numpy columns
-        (:class:`~repro.workloads.bulk.BulkGenerator`) for a chunk of
-        windows at once, the MMU translates each source's column through
-        one :class:`~repro.cpu.mmu.TranslationPlan`, and the round-robin
-        interleave is a vectorized scatter — per window only the batch
-        load (C-speed byte copies) and the scheduler call remain.
-        Scheduling itself is untouched:
-        :meth:`~repro.mc.scheduler.BatchScheduler.issue_columnar`
-        reorders every window exactly as the scalar twin does, so
-        :class:`~repro.sim.metrics.RunMetrics` stays bit-identical.  One
-        documented deviation: TLB hit/miss accounting
-        (``cache.tlb.*`` gauges only — no RunMetrics field) runs
-        per-source within each window instead of in round-robin access
-        order, which can shift the hit/miss split when the shared TLB is
-        thrashing across tenants.
-
-        Windows containing an unmapped page (or following a mid-chunk
-        remap by an interrupt handler, which also invalidates the
-        per-source accounting cursors) drop to the per-access scalar
-        path for the rest of the chunk, surfacing
-        :class:`~repro.cpu.mmu.TranslationError` at the exact access.
-        """
-        if accesses < 1:
-            raise ValueError("accesses must be >= 1")
-        from repro.sim.columnar import ColumnarBatch
-
-        batch = ColumnarBatch()
-        now = start_ns
-        issued = 0
-        if not bulk_generation_available():
-            while issued < accesses:
-                now = self.step_columnar(now, batch)
-                issued += self.window
-            return now
-        system = self.system
-        mmu = system.mmu
-        controller = system.controller
-        issue = self.scheduler.issue_columnar
-        sources = self.sources
-        count = len(sources)
-        window = self.window
-        fallback_counter = getattr(system, "gen_fallbacks", None)
-        # Round-robin slot positions of each source within one window
-        # (sources beyond the window width never run — same as step()).
-        slots = [list(range(s, window, count)) for s in range(count)]
-        dom_template = _array(
-            "q", [sources[p % count].handle.asid for p in range(window)]
-        )
-        windows_per_chunk = max(1, _CHUNK_ACCESSES // window)
-        while issued < accesses:
-            remaining_windows = -(-(accesses - issued) // window)
-            chunk_windows = min(remaining_windows, windows_per_chunk)
-            total = chunk_windows * window
-            lines_np = _np.empty(total, dtype=_np.int64)
-            writes_np = _np.empty(total, dtype=_np.int8)
-            phys_np = _np.empty(total, dtype=_np.int64)
-            # Per-source generation, translation plan, and the global
-            # scatter indices of the source's accesses (window-major).
-            per_source = []
-            window_base = _np.arange(
-                chunk_windows, dtype=_np.int64
-            )[:, None] * window
-            for s, source in enumerate(sources):
-                positions = slots[s]
-                per_window = len(positions)
-                if per_window == 0:
-                    continue
-                drawn = per_window * chunk_windows
-                generator = source._generator
-                lines_s, writes_s = generator.columns(drawn)
-                if generator.scalar_fallback and fallback_counter is not None:
-                    fallback_counter.add(drawn)
-                source.stepped_accesses += drawn
-                index = (
-                    window_base
-                    + _np.asarray(positions, dtype=_np.int64)[None, :]
-                ).ravel()
-                lines_np[index] = lines_s
-                writes_np[index] = writes_s
-                plan = mmu.plan_translation(source.handle.asid, lines_s)
-                per_source.append((source, plan, index, per_window))
-            # Fast case: no interrupt handlers means no mid-chunk remap
-            # and no TLB shootdowns, so the whole chunk accounts and
-            # scatters upfront.  Handlers (or a planned fault) take the
-            # windowed path below.
-            clean = not any(
-                c._handlers for c in controller.counters.values()
-            ) and all(
-                entry[1].fault_at >= chunk_windows * entry[3]
-                for entry in per_source
-            )
-            if clean:
-                for source, plan, index, per_window in per_source:
-                    drawn = chunk_windows * per_window
-                    plan.account(0, drawn)
-                    phys_np[index] = plan.phys[:drawn]
-                line_col = _array("q")
-                line_col.frombytes(phys_np.tobytes())
-                write_col = _array("b")
-                write_col.frombytes(writes_np.tobytes())
-                done = self.scheduler.issue_columnar_run(
-                    line_col, write_col, dom_template * chunk_windows,
-                    [window] * chunk_windows, now,
-                )
-                if done > now:
-                    now = done
-                self.steps += chunk_windows
-                issued += total
-                continue
-            scalar_mode = False
-            for w in range(chunk_windows):
-                base = w * window
-                if not scalar_mode:
-                    # Windowed accounting: refresh stale plans, detect
-                    # faults, then account and scatter this window.
-                    faulted = False
-                    for source, plan, index, per_window in per_source:
-                        s_start = w * per_window
-                        if plan.stale:
-                            plan.refresh(s_start)
-                        if plan.fault_at < s_start + per_window:
-                            faulted = True
-                    if faulted:
-                        # The accounting cursors cannot survive a mix of
-                        # per-access and planned windows: finish the
-                        # chunk scalar (the fault will raise below).
-                        scalar_mode = True
-                    else:
-                        for source, plan, index, per_window in per_source:
-                            s_start = w * per_window
-                            s_end = s_start + per_window
-                            plan.account(s_start, s_end)
-                            phys_np[index[s_start:s_end]] = (
-                                plan.phys[s_start:s_end]
-                            )
-                if scalar_mode:
-                    fault_batch = ColumnarBatch()
-                    for p in range(window):
-                        source = sources[p % count]
-                        line = mmu.translate_line(
-                            source.handle.asid, int(lines_np[base + p])
-                        )
-                        fault_batch.append(
-                            line, bool(writes_np[base + p]), now,
-                            source.handle.asid,
-                        )
-                    done = issue(fault_batch)
-                else:
-                    batch.load_window(
-                        phys_np[base:base + window].tobytes(),
-                        writes_np[base:base + window].tobytes(),
-                        now, dom_template, window,
-                    )
-                    done = issue(batch)
-                self.steps += 1
-                if done > now:
-                    now = done
-            issued += total
         return now

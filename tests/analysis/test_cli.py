@@ -26,6 +26,26 @@ class TestRun:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "E99"]) == 2
 
+    def test_scale_defaults_to_each_experiments_own(self, monkeypatch, capsys):
+        from repro.analysis.experiments import EXPERIMENTS
+
+        calls = []
+
+        class Outcome:
+            verdict = True
+
+            def render(self):
+                return ""
+
+        def stub(**kwargs):
+            calls.append(kwargs)
+            return Outcome()
+
+        monkeypatch.setitem(EXPERIMENTS, "E13", stub)
+        assert main(["run", "E13"]) == 0
+        assert main(["run", "E13", "--scale", "16"]) == 0
+        assert calls == [{}, {"scale": 16}]
+
 
 class TestAttack:
     def test_legacy_attack_flips(self, capsys):
@@ -83,16 +103,6 @@ class TestFactories:
     def test_factories_construct(self, name):
         defense = DEFENSE_FACTORIES[name]()
         assert defense.name
-
-
-class TestBenchCommand:
-    def test_quick_bench_runs(self, capsys):
-        import json
-
-        assert main(["bench", "--quick", "--jobs", "2"]) == 0
-        entry = json.loads(capsys.readouterr().out)
-        assert set(entry["shapes"]) == {"streaming", "attack", "multi_tenant"}
-        assert entry["replication"]["identical"] is True
 
 
 class TestReplicateCommand:

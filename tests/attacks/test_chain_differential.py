@@ -424,6 +424,28 @@ def test_deadline_inside_a_chunk():
     assert last.serviced % last.round_len == 0
 
 
+def test_closed_page_one_location():
+    """A4's one-location attack: under the closed-page policy the chain
+    precharges after every read, so each read of the lone aggressor
+    activates its row again."""
+    spy, _, fast = compare(
+        legacy_platform(scale=64, page_policy="closed"), lambda: [],
+        pattern="one-location",
+    )
+    assert spy.calls
+    assert fast["mc"]["acts"] == fast["mc"]["reads"]
+
+
+def test_remapped_rows():
+    """E11's DRAM-internal row swaps: the chain must accrue disturbance
+    on each ACT's internal row, not its logical one."""
+    spy, _, fast = compare(
+        legacy_platform(scale=64, remap_fraction=0.08), lambda: [],
+    )
+    assert spy.calls
+    assert fast["tracker_flips"]
+
+
 def test_dma_plan_stays_per_access():
     spy, _, fast = compare(legacy_platform(scale=64), lambda: [],
                            use_dma=True)

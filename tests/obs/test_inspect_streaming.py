@@ -1,10 +1,10 @@
 """``repro inspect`` must summarize huge traces at bounded memory.
 
-The CLI pipes ``iter_jsonl`` → ``expand_events`` → ``summarize_events``
-so a multi-gigabyte campaign trace never has to fit in RAM.  This test
-writes a trace far larger than any reasonable working set (thousands of
-``columnar_acts`` batch lines expanding to ~100k scalar events), runs
-the streaming pipeline under ``tracemalloc``, and pins two regressions:
+The CLI pipes ``iter_jsonl`` → ``summarize_events`` so a multi-gigabyte
+campaign trace never has to fit in RAM.  This test writes a trace far
+larger than any reasonable working set (48k ``act`` lines plus 24k
+``row_conflict`` lines), runs the streaming pipeline under
+``tracemalloc``, and pins two regressions:
 
 * the streaming peak stays a small fraction of the materialized trace
   (someone reintroducing ``read_jsonl``/``list(...)`` in the pipeline
@@ -16,38 +16,39 @@ the streaming pipeline under ``tracemalloc``, and pins two regressions:
 import json
 import tracemalloc
 
-from repro.obs import expand_events, iter_jsonl, read_jsonl
+from repro.obs import iter_jsonl, read_jsonl
 from repro.obs.inspect import summarize_events
 
-RECORDS = 4500
-ACTS_PER_RECORD = 32
+ACTS = 48_000
+CONFLICTS = ACTS // 2
+EVENTS = ACTS + CONFLICTS
 
 
 def _write_trace(path):
+    encode = json.JSONEncoder(sort_keys=True).encode
     with path.open("w") as stream:
-        for index in range(RECORDS):
-            base = index * ACTS_PER_RECORD * 10
-            n = ACTS_PER_RECORD
-            stream.write(json.dumps({
-                "kind": "columnar_acts",
-                "t": base,
-                "channel": [0] * n,
-                "rank": [0] * n,
-                "bank": [i % 8 for i in range(n)],
-                "row": [(index + i) % 512 for i in range(n)],
-                "line": [i for i in range(n)],
-                "domain": [i % 4 for i in range(n)],
-                "act_ns": [base + 10 * i for i in range(n)],
-                "stall_ns": [0] * n,
-                "closed_row": [None if i % 2 else (i + 1) % 512
-                               for i in range(n)],
-                "flip_pos": [],
-                "flips": [],
-            }, sort_keys=True) + "\n")
+        for index in range(ACTS):
+            event = {
+                "kind": "act",
+                "t": 10 * index,
+                "channel": 0,
+                "rank": 0,
+                "bank": index % 8,
+                "row": index % 512,
+                "line": index % 32,
+                "domain": index % 4,
+                "dma": False,
+            }
+            stream.write(encode(event) + "\n")
+            if index % 2 == 0:
+                event["kind"] = "row_conflict"
+                event["closed_row"] = (index + 1) % 512
+                del event["dma"]
+                stream.write(encode(event) + "\n")
 
 
 def _streaming_summary(path):
-    return summarize_events(expand_events(iter_jsonl(path)))
+    return summarize_events(iter_jsonl(path))
 
 
 def test_streaming_inspect_is_memory_bounded(tmp_path):
@@ -63,10 +64,9 @@ def test_streaming_inspect_is_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
 
-    total_acts = RECORDS * ACTS_PER_RECORD
-    assert summary.counts_by_kind["act"] == total_acts
-    assert summary.counts_by_kind["row_conflict"] == total_acts // 2
-    assert summary.total_events == total_acts + total_acts // 2
+    assert summary.counts_by_kind["act"] == ACTS
+    assert summary.counts_by_kind["row_conflict"] == CONFLICTS
+    assert summary.total_events == EVENTS
 
     # The materialized trace dwarfs the streaming peak: events alone
     # cost hundreds of bytes each, so give the full list a lower bound
@@ -87,7 +87,7 @@ def test_streaming_reader_tolerates_torn_final_line(tmp_path):
         stream.write('{"kind": "act", "t": 12, "chan')  # SIGKILL mid-write
 
     streamed = list(iter_jsonl(trace))
-    assert len(streamed) == RECORDS
+    assert len(streamed) == EVENTS
     assert streamed == read_jsonl(trace)
     summary = _streaming_summary(trace)
-    assert summary.counts_by_kind["act"] == RECORDS * ACTS_PER_RECORD
+    assert summary.counts_by_kind["act"] == ACTS

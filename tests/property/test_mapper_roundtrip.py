@@ -6,7 +6,7 @@ stateful :class:`SubarrayIsolatedInterleaving`):
 
 * ``line_to_ddr`` → ``ddr_to_line`` → the same line, for any line the
   forward map has produced;
-* ``lines_to_ddr_bulk`` (the table-driven columnar translator) equals
+* ``lines_to_ddr_bulk`` (the table-driven bulk translator) equals
   the memoised scalar path address-for-address, on a *fresh* mapper
   each, so lazy first-touch placement order is exercised identically.
 """

@@ -131,7 +131,7 @@ class TestCapturedScenario:
         envelope = CapturedScenario(SPEC)(seed=5)
         assert envelope["result"] == SPEC(5)
         assert envelope["metrics"]["mc.acts"] > 0
-        assert "mc.columnar_fallbacks.trace" in envelope["metrics"]
+        assert "mc.ref_bursts" in envelope["metrics"]
 
     def test_plain_scenario_has_no_metrics(self):
         envelope = CapturedScenario(toy_scenario)(seed=5)
