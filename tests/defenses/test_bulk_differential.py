@@ -1,25 +1,30 @@
 """Registry-wide bulk == scalar differential.
 
 Every defense in ``ALL_DEFENSES``, on every platform preset that can
-host it, must produce ``RunMetrics`` bit-identical whether the workload
-is serviced through the columnar bulk engine or the object reference
-path.  The object path stays the oracle: the columnar leg is the one
-under test.
+host it, must leave ``RunMetrics`` bit-identical whether a dependent
+stream of reads is serviced by the controller's bulk engine
+(:meth:`~repro.mc.controller.MemoryController.submit_chain`, whose
+per-ACT side effects run in column space through
+``DisturbanceTracker.on_activate_bulk`` and each defense's bulk twin)
+or one :meth:`~repro.mc.controller.MemoryController.submit` at a time.
+``submit`` stays the oracle: the bulk leg is the one under test.
 
-Two side conditions ride along:
+The stream is a zipfian workload's lines, not a hammer loop, so one
+engine call sees many distinct lines, banks and channels, and row
+hits, misses and conflicts mixed — shapes the attack loops of
+``tests/attacks/test_chain_differential.py`` do not produce.
 
-* a defense that advertises ``supports_bulk_acts`` must never knock the
-  engine into a fallback (``mc.columnar_fallbacks`` stays 0);
-* a scalar-only defense must *always* take the ordered fallback — that
-  the metrics still match proves the segmented replay preserves
-  per-ACT interleaving.
+A defense whose ACT hook is scalar-only (``supports_bulk_acts`` false)
+must keep every caller off the engine: ``supports_chain`` turns false
+when it attaches, and only then.
 """
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.core.primitives import MissingPrimitiveError
+from repro.cpu.core import LLC_HIT_LATENCY_NS
 from repro.defenses import ALL_DEFENSES
 from repro.defenses.registry import build_overrides
 from repro.mc.controller import MemoryRequest
@@ -30,7 +35,7 @@ from repro.sim import (
     proposed_platform,
 )
 from repro.sim.metrics import collect_metrics
-from repro.workloads import WorkloadRunner
+from repro.workloads import make_generator
 
 PLATFORMS = {
     "legacy": legacy_platform,
@@ -39,75 +44,96 @@ PLATFORMS = {
 }
 
 ACCESSES = 600
-MLP = 8
+#: hammer_access's timing: a clean clflush costs 1 ns, and the load
+#: retires LLC_HIT_LATENCY_NS after its DRAM read
+FLUSH_NS = 1
 
 
-def _build(platform, defense_cls):
+def _config(platform, defense_cls):
     # Allocator-policy defenses refuse to attach unless the system was
     # built with their matching placement policy; the registry knows
     # which overrides each defense demands (§4.1).
-    overrides = build_overrides(defense_cls)
-    system = build_system(PLATFORMS[platform](scale=8, **overrides))
+    return PLATFORMS[platform](scale=8, **build_overrides(defense_cls))
+
+
+def _hosts(platform, defense_cls):
+    """Whether the platform has every primitive the defense requires."""
+    available = _config(platform, defense_cls).primitives.available
+    return frozenset(defense_cls.requires) <= available
+
+
+def _build(platform, defense_cls):
+    system = build_system(_config(platform, defense_cls))
+    assert system.controller.supports_chain
     defense = defense_cls()
     defense.attach(system)
     handle = system.create_domain("tenant", pages=64)
-    runner = WorkloadRunner(system, handle, name="zipfian", mlp=MLP, seed=11)
-    return system, handle, runner, defense
+    stream = make_generator("zipfian", handle.total_lines, random.Random(11))
+    lines = [
+        handle.physical_line(next(stream)[0]) for _ in range(ACCESSES)
+    ]
+    return system, handle, lines, defense
 
 
-def _run(platform, defense_cls, columnar):
-    system, handle, runner, defense = _build(platform, defense_cls)
-    if columnar:
-        result = runner.run_columnar(ACCESSES)
-        elapsed = result.finished_ns
+def _run(platform, defense_cls, bulk):
+    system, handle, lines, defense = _build(platform, defense_cls)
+    controller = system.controller
+    if bulk:
+        serviced, clock = controller.submit_chain(
+            lines, handle.asid, 0, FLUSH_NS, LLC_HIT_LATENCY_NS, None,
+            len(lines), lambda index, settled: None, lambda: True,
+        )
+        assert serviced == ACCESSES
     else:
-        # The object leg reproduces run_columnar's windowing exactly —
-        # same generator stream, same merged tail — through
-        # submit_batch, the reference implementation.
-        generator = runner._generator
-        controller = system.controller
-        now = 0
-        issued = 0
-        while issued < ACCESSES:
-            remaining = ACCESSES - issued
-            window = MLP if remaining >= 2 * MLP else remaining
-            requests = []
-            for _ in range(window):
-                vline, is_write = next(generator)
-                requests.append(MemoryRequest(
-                    time_ns=now,
-                    physical_line=handle.physical_line(vline),
-                    is_write=is_write,
-                    domain=handle.asid,
-                ))
-            completions = controller.submit_batch(requests)
-            done = max(c.ready_at_ns for c in completions)
-            if done > now:
-                now = done
-            issued += window
-        elapsed = now
-    metrics = collect_metrics(system, "diff", elapsed_ns=elapsed)
-    return metrics, system.controller.stats.columnar_fallbacks, defense
+        clock = 0
+        for line in lines:
+            completed = controller.submit(MemoryRequest(
+                time_ns=clock + FLUSH_NS,
+                physical_line=line,
+                is_write=False,
+                domain=handle.asid,
+            ))
+            clock = completed.ready_at_ns + LLC_HIT_LATENCY_NS
+    tracker = system.device.tracker
+    return {
+        "lines": lines,
+        "clock": clock,
+        "metrics": dataclasses.asdict(collect_metrics(
+            system, "diff", elapsed_ns=clock, defenses=[defense]
+        )),
+        "mc": controller.stats.snapshot(),
+        "counters": [
+            (counter.pending, counter.total_acts, counter.interrupts_raised,
+             counter.interrupts_delivered, counter.interrupts_lost)
+            for counter in controller.counters.values()
+        ],
+        "pressure": dict(tracker.iter_pressure()),
+        "flips": [
+            (flip.victim, flip.aggressor, flip.time_ns, flip.flipped_bits,
+             flip.aggressor_domain, flip.victim_domains)
+            for flip in tracker.flips
+        ],
+    }
 
 
-@pytest.mark.parametrize("platform", sorted(PLATFORMS))
 @pytest.mark.parametrize(
-    "defense_cls", ALL_DEFENSES, ids=lambda cls: cls.name
+    "defense_cls, platform",
+    [
+        pytest.param(cls, platform, id=f"{cls.name}-{platform}")
+        for cls in ALL_DEFENSES
+        for platform in sorted(PLATFORMS)
+        if _hosts(platform, cls)
+    ],
 )
 def test_bulk_metrics_equal_scalar_oracle(defense_cls, platform):
-    try:
-        columnar, fallbacks, defense = _run(platform, defense_cls, True)
-    except MissingPrimitiveError:
-        pytest.skip(f"{defense_cls.name} needs primitives {platform} lacks")
-    reference, _, _ = _run(platform, defense_cls, False)
-    assert dataclasses.asdict(columnar) == dataclasses.asdict(reference)
-    assert columnar.requests > 0
-    if defense.supports_bulk_acts:
-        assert fallbacks == 0, (
-            f"{defense_cls.name} advertises bulk-safe ACT hooks but the "
-            f"engine fell back {fallbacks} times"
-        )
-    else:
-        # Scalar-only observers must have routed every batch through the
-        # ordered fallback (the equality above proves it was exact).
-        assert fallbacks > 0
+    system, _, _, defense = _build(platform, defense_cls)
+    assert system.controller.supports_chain == defense.supports_bulk_acts
+    if not defense.supports_bulk_acts:
+        # Scalar-only observers must see every ACT in order, which only
+        # submit gives them; the check above keeps callers off the chain.
+        return
+    bulk = _run(platform, defense_cls, True)
+    reference = _run(platform, defense_cls, False)
+    assert bulk == reference
+    # handlers may add requests of their own (aggressor-remap's moves)
+    assert bulk["metrics"]["requests"] >= ACCESSES
