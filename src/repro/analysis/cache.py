@@ -54,14 +54,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: default cache directory, relative to the working directory
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
-#: per-process counter files live under the cache root in this dir
-STATS_DIR = ".stats"
-
-#: counter-file suffix — deliberately *not* ``.json``, so the
-#: ``*/*.json`` entry globs (``entries``/``prune``/``clear``) can never
-#: mistake a counter file for an unreadable cache entry and reap it
-STATS_SUFFIX = ".counters"
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``.repro-cache`` in the cwd."""
@@ -226,87 +218,6 @@ class ResultCache:
         return {"hits": self.hits, "misses": self.misses}
 
     # ------------------------------------------------------------------
-    # Cross-process accounting
-    # ------------------------------------------------------------------
-
-    def stats_path(self) -> Path:
-        return self.root / STATS_DIR
-
-    def publish_counters(self, worker: str) -> Path:
-        """Durably publish this instance's counters under the shared
-        root, keyed by ``worker``.
-
-        In-memory ``hits``/``misses`` die with their process, which
-        makes a multi-process campaign's cache effectiveness invisible
-        — each service worker sees only its own slice.  Publishing
-        writes them to ``<root>/.stats/<worker>.counters`` (atomic
-        temp + replace, so any number of workers publish locklessly;
-        each worker owns its file and a republish overwrites in place).
-        :meth:`cross_process_counters` folds every published file back
-        into one total.
-        """
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-_." else "-" for ch in worker
-        ) or "anonymous"
-        path = self.stats_path() / f"{safe}{STATS_SUFFIX}"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "worker": worker,
-            "pid": os.getpid(),
-            "published_at": time.time(),
-            **self.counters(),
-        }
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{safe[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def cross_process_counters(self) -> Dict[str, int]:
-        """Fold every published per-worker counter file into totals.
-
-        Returns ``hits``/``misses`` summed across every process that
-        published against this root, plus ``workers`` (files folded).
-        Unreadable files are skipped, never deleted — a concurrent
-        publish mid-replace reads whole-or-not-at-all anyway.
-        """
-        totals = {"hits": 0, "misses": 0, "workers": 0}
-        stats_dir = self.stats_path()
-        if not stats_dir.exists():
-            return totals
-        for path in sorted(stats_dir.glob(f"*{STATS_SUFFIX}")):
-            try:
-                payload = json.loads(path.read_text())
-                hits = int(payload["hits"])
-                misses = int(payload["misses"])
-            except (OSError, KeyError, TypeError, ValueError):
-                continue
-            totals["hits"] += hits
-            totals["misses"] += misses
-            totals["workers"] += 1
-        return totals
-
-    def clear_counters(self) -> int:
-        """Drop every published counter file; returns how many went."""
-        removed = 0
-        stats_dir = self.stats_path()
-        if not stats_dir.exists():
-            return removed
-        for path in stats_dir.glob(f"*{STATS_SUFFIX}"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    # ------------------------------------------------------------------
     # Maintenance (the ``repro cache`` subcommand)
     # ------------------------------------------------------------------
 
@@ -334,15 +245,11 @@ class ResultCache:
 
     def stats(self) -> Dict[str, object]:
         entries = self.entries()
-        shared = self.cross_process_counters()
         return {
             "root": str(self.root),
             "entries": len(entries),
             "bytes": sum(entry.bytes for entry in entries),
             "schema": CACHE_SCHEMA_VERSION,
-            "shared_hits": shared["hits"],
-            "shared_misses": shared["misses"],
-            "shared_workers": shared["workers"],
         }
 
     def prune(

@@ -328,135 +328,6 @@ def _cmd_replicate(args) -> int:
     return 0
 
 
-def _spec_for_experiment(experiment: str, scale: int):
-    """The replication spec a CLI experiment id names, at ``scale``."""
-    import dataclasses
-
-    from repro.analysis.parallel import REPLICATION_SPECS
-
-    return dataclasses.replace(
-        REPLICATION_SPECS[experiment.upper()], scale=scale
-    )
-
-
-def _cmd_serve(args) -> int:
-    from repro.runtime.queue import QueueError
-    from repro.runtime.service import CampaignService, ServiceConfig
-
-    if args.action == "worker":
-        from repro.runtime.service import run_worker
-
-        return run_worker(
-            args.dir, args.job_id,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-        )
-
-    if args.action == "submit":
-        service = CampaignService(
-            args.dir,
-            config=ServiceConfig(
-                max_queued=args.max_queued,
-                disk_budget_bytes=(
-                    int(args.disk_budget_mb * 1024 * 1024)
-                    if args.disk_budget_mb is not None else None
-                ),
-            ),
-        )
-        spec = _spec_for_experiment(args.experiment, args.scale)
-        seeds = [args.seed_base + i for i in range(args.seeds)]
-        try:
-            admission = service.submit(
-                spec, seeds, experiment=args.experiment.upper(),
-                priority=args.priority, jobs=args.jobs,
-                timeout_s=args.timeout, max_retries=args.max_retries,
-            )
-        except (ValueError, QueueError) as error:
-            print(f"repro serve: error: {error}", file=sys.stderr)
-            return 2
-        verdict = "accepted" if admission.accepted else "REJECTED"
-        print(f"{verdict} {admission.job_id} [{admission.state}]: "
-              f"{admission.reason}")
-        return 0 if admission.accepted else 1
-
-    if args.action == "cancel":
-        service = CampaignService(args.dir)
-        try:
-            known = service.cancel(args.job_id, reason="cancelled via CLI")
-        except QueueError as error:
-            print(f"repro serve: error: {error}", file=sys.stderr)
-            return 2
-        if not known:
-            print(f"repro serve: unknown job {args.job_id}",
-                  file=sys.stderr)
-            return 1
-        print(f"cancel requested for {args.job_id}")
-        return 0
-
-    if args.action == "status":
-        return _serve_status(args)
-
-    # action == "serve": the long-running drain loop
-    service = CampaignService(
-        args.dir,
-        config=ServiceConfig(
-            max_inflight=args.max_inflight,
-            max_queued=args.max_queued,
-            disk_budget_bytes=(
-                int(args.disk_budget_mb * 1024 * 1024)
-                if args.disk_budget_mb is not None else None
-            ),
-            max_job_attempts=args.max_job_attempts,
-            drain_grace_s=args.drain_grace,
-        ),
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
-    try:
-        summary = service.serve(drain_and_exit=args.drain_and_exit)
-    except (QueueError, OSError) as error:
-        print(f"repro serve: error: {error}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        # Workers already salvaged + journals are the resume point; the
-        # interrupted exit code must survive the service wrapper.
-        print("\nrepro serve: interrupted; drained workers journaled "
-              "their progress — restart `repro serve serve` to resume",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    print(f"service stopped ({'drained' if summary.get('drained') else 'queue empty'}):")
-    for state in ("queued", "running", "done", "failed", "cancelled"):
-        print(f"  {state:10s} {summary.get(state, 0)}")
-    for key in sorted(summary):
-        if key.startswith("service."):
-            print(f"  {key} = {summary[key]}")
-    return 0
-
-
-def _serve_status(args) -> int:
-    from repro.runtime.queue import QUEUE_FILE, QueueError, load_queue
-
-    from pathlib import Path
-
-    try:
-        queue = load_queue(Path(args.dir) / QUEUE_FILE)
-    except QueueError as error:
-        print(f"repro serve: error: {error}", file=sys.stderr)
-        return 2
-    jobs = sorted(queue.jobs.values(), key=lambda job: job.seq)
-    counts = queue.counts()
-    print(f"service queue at {args.dir}: "
-          + ", ".join(f"{counts[s]} {s}" for s in counts))
-    if not jobs:
-        return 0
-    print(f"{'job':16s}  {'state':9s}  {'prio':6s}  {'att':>3s}  "
-          f"{'seeds':>5s}  reason")
-    for job in jobs:
-        print(f"{job.job_id:16.16s}  {job.state:9s}  {job.priority:6s}  "
-              f"{job.attempts:3d}  {len(job.seeds):5d}  {job.reason}")
-    return 0
-
-
 def _status_directory(args) -> int:
     """Deterministic multi-campaign table for a directory of journals."""
     from pathlib import Path
@@ -973,92 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser.add_argument(
         "journal",
         help="campaign journal written with replicate --journal, or a "
-             "directory of *.journal files (e.g. a service's jobs/ dir)",
+             "directory of *.journal files",
     )
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="long-running campaign service: durable job queue, "
-             "supervised workers, backpressure, crash recovery",
-    )
-    serve_sub = serve_parser.add_subparsers(dest="action", required=True)
-
-    serve_submit = serve_sub.add_parser(
-        "submit", help="enqueue one campaign job (idempotent by "
-                       "fingerprint; rejected with a reason when full)",
-    )
-    serve_submit.add_argument("dir", help="service directory")
-    serve_submit.add_argument(
-        "experiment", choices=("E4", "E10", "E13", "e4", "e10", "e13"),
-    )
-    serve_submit.add_argument("--seeds", type=int, default=8)
-    serve_submit.add_argument("--seed-base", type=int, default=101)
-    serve_submit.add_argument("--scale", type=int, default=64)
-    serve_submit.add_argument(
-        "--priority", default="normal", choices=("high", "normal", "low"),
-        help="scheduling lane (high drains before normal before low)",
-    )
-    serve_submit.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes the job's campaign may use",
-    )
-    serve_submit.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-seed wall-clock budget inside the job",
-    )
-    serve_submit.add_argument("--max-retries", type=int, default=2)
-    serve_submit.add_argument(
-        "--max-queued", type=int, default=64,
-        help="admission ceiling on queued + running jobs",
-    )
-    serve_submit.add_argument(
-        "--disk-budget-mb", type=float, default=None,
-        help="reject submissions once the service dir exceeds this size",
-    )
-
-    serve_serve = serve_sub.add_parser(
-        "serve", help="run the drain loop (SIGTERM drains gracefully)",
-    )
-    serve_serve.add_argument("dir", help="service directory")
-    serve_serve.add_argument(
-        "--max-inflight", type=int, default=2,
-        help="jobs running concurrently (default: 2)",
-    )
-    serve_serve.add_argument("--max-queued", type=int, default=64)
-    serve_serve.add_argument("--disk-budget-mb", type=float, default=None)
-    serve_serve.add_argument(
-        "--max-job-attempts", type=int, default=3,
-        help="circuit breaker: attempts before a job is marked failed",
-    )
-    serve_serve.add_argument(
-        "--drain-grace", type=float, default=60.0, metavar="SECONDS",
-        help="drain: how long workers get to salvage before SIGKILL",
-    )
-    serve_serve.add_argument(
-        "--drain-and-exit", action="store_true",
-        help="exit once the queue is empty instead of waiting for "
-             "more submissions (batch mode)",
-    )
-    _add_cache_arguments(serve_serve)
-
-    serve_status = serve_sub.add_parser(
-        "status", help="show the queue's jobs and states (read-only)",
-    )
-    serve_status.add_argument("dir", help="service directory")
-
-    serve_cancel = serve_sub.add_parser(
-        "cancel", help="cancel a queued job (or request stop if running)",
-    )
-    serve_cancel.add_argument("dir", help="service directory")
-    serve_cancel.add_argument("job_id", help="fingerprint from submit")
-
-    serve_worker = serve_sub.add_parser(
-        "worker", help="run one job's campaign (internal: the serve "
-                       "loop forks these)",
-    )
-    serve_worker.add_argument("dir", help="service directory")
-    serve_worker.add_argument("job_id")
-    _add_cache_arguments(serve_worker)
 
     inspect_parser = sub.add_parser(
         "inspect",
@@ -1087,7 +874,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "replicate": _cmd_replicate,
         "trace": _cmd_trace,
         "status": _cmd_status,
-        "serve": _cmd_serve,
         "inspect": _cmd_inspect,
         "faults": _cmd_faults,
         "cache": _cmd_cache,

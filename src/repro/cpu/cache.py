@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +72,6 @@ class SetAssociativeCache:
         self.evictions = 0
         self.writebacks = 0
         self.locked_hits = 0
-        #: hits served through :meth:`access_bulk` (subset of ``hits``);
-        #: surfaces as the ``cache.l2.bulk_hits`` gauge so bulk cache
-        #: traffic is distinguishable from scalar
-        self.bulk_hits = 0
 
     # ------------------------------------------------------------------
     # Access path
@@ -103,50 +99,6 @@ class SetAssociativeCache:
         writeback = self._make_room(cache_set)
         cache_set[line] = is_write
         return CacheAccessResult(hit=False, fill_line=line, writeback_line=writeback)
-
-    def access_bulk(self, lines, writes=None) -> List[Tuple[int, Optional[int]]]:
-        """Access a whole column of lines, filtering the hits out.
-
-        Counter-exact twin of calling :meth:`access` per element in
-        column order (same LRU promotions, same victim choices, same
-        dirty transitions), but hits — the overwhelmingly common case on
-        the steady-state paths that batch — are accrued in bulk locals
-        and produce no per-access result objects.  Only the misses come
-        back, as ``(position, writeback_line)`` pairs in access order:
-        ``position`` indexes into ``lines`` and ``writeback_line`` is the
-        dirty victim the caller must write back (or ``None``).  ``writes``
-        is an optional parallel int8/bool column; omitted means all
-        reads.  Hits served here are additionally counted in
-        :attr:`bulk_hits` (the ``cache.l2.bulk_hits`` gauge).
-        """
-        sets_list = self._sets
-        nsets = self.sets
-        locked = self._locked
-        hits = 0
-        locked_hits = 0
-        misses: List[Tuple[int, Optional[int]]] = []
-        for position in range(len(lines)):
-            line = lines[position]
-            if line < 0:
-                raise ValueError("line must be >= 0")
-            cache_set = sets_list[line % nsets]
-            is_write = bool(writes[position]) if writes is not None else False
-            if line in cache_set:
-                hits += 1
-                if is_write and not cache_set[line]:
-                    cache_set[line] = True
-                cache_set.move_to_end(line)
-                if line in locked:
-                    locked_hits += 1
-                continue
-            self.misses += 1
-            writeback = self._make_room(cache_set)
-            cache_set[line] = is_write
-            misses.append((position, writeback))
-        self.hits += hits
-        self.locked_hits += locked_hits
-        self.bulk_hits += hits
-        return misses
 
     def flush(self, line: int) -> Optional[int]:
         """clflush: drop ``line``; returns the line if a dirty writeback

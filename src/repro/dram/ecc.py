@@ -54,8 +54,26 @@ _DATA_POSITIONS: List[int] = [
     if not _is_power_of_two(position)
 ][:DATA_BITS]
 _CHECK_POSITIONS: List[int] = [1 << i for i in range(CHECK_BITS)]
+#: (check position, mask of the positions 1..71 its parity group covers)
+_PARITY_MASKS: List[Tuple[int, int]] = [
+    (check, sum(1 << p for p in range(1, CODEWORD_BITS) if p & check))
+    for check in _CHECK_POSITIONS
+]
 
 assert len(_DATA_POSITIONS) == DATA_BITS
+
+
+def _parity(value: int) -> int:
+    return bin(value).count("1") & 1
+
+
+def _syndrome(word: int) -> int:
+    """OR of the check positions whose parity group reads odd."""
+    syndrome = 0
+    for check, mask in _PARITY_MASKS:
+        if _parity(word & mask):
+            syndrome |= check
+    return syndrome
 
 
 def encode(data: int) -> int:
@@ -66,20 +84,13 @@ def encode(data: int) -> int:
     for index, position in enumerate(_DATA_POSITIONS):
         if (data >> index) & 1:
             word |= 1 << position
-    for check_position in _CHECK_POSITIONS:
-        parity = 0
-        for position in range(1, CODEWORD_BITS):
-            if position & check_position and (word >> position) & 1:
-                parity ^= 1
-        if parity:
-            word |= 1 << check_position
+    # no group covers another's check position, so each check bit
+    # depends on the data bits alone
+    for check, mask in _PARITY_MASKS:
+        if _parity(word & mask):
+            word |= 1 << check
     # overall parity over positions 1..71, stored at position 0
-    overall = 0
-    for position in range(1, CODEWORD_BITS):
-        overall ^= (word >> position) & 1
-    if overall:
-        word |= 1
-    return word
+    return word | _parity(word)
 
 
 def _extract_data(word: int) -> int:
@@ -109,17 +120,8 @@ def decode(word: int) -> DecodeResult:
     """
     if not 0 <= word < (1 << CODEWORD_BITS):
         raise ValueError("word must be a 72-bit unsigned integer")
-    syndrome = 0
-    for check_position in _CHECK_POSITIONS:
-        parity = 0
-        for position in range(1, CODEWORD_BITS):
-            if position & check_position and (word >> position) & 1:
-                parity ^= 1
-        if parity:
-            syndrome |= check_position
-    overall = 0
-    for position in range(0, CODEWORD_BITS):
-        overall ^= (word >> position) & 1
+    syndrome = _syndrome(word)
+    overall = _parity(word)
 
     if syndrome == 0 and overall == 0:
         return DecodeResult(_extract_data(word), EccOutcome.CLEAN)

@@ -20,10 +20,7 @@ package stresses exactly those promises:
   guarantee silently;
 * :mod:`repro.faults.crash`      — :class:`CrashingSpec`, harness-level
   fault injection that kills/hangs replication *workers* on chosen
-  seeds to exercise every :mod:`repro.runtime` recovery branch;
-* :mod:`repro.faults.service`    — chaos injectors for the campaign
-  service layer: SIGKILL processes, tear the queue log's final entry,
-  fill the journal disk, wedge a job.
+  seeds to exercise every :mod:`repro.runtime` recovery branch.
 """
 
 from repro.faults.config import FaultConfig
@@ -41,13 +38,6 @@ from repro.faults.invariants import (
 )
 from repro.faults.plane import FaultPlane
 from repro.faults.scenarios import default_matrix, storm_interval
-from repro.faults.service import (
-    hang_job_spec,
-    journal_disk_full,
-    sigkill,
-    sigkill_after,
-    tear_queue_tail,
-)
 
 __all__ = [
     "CRASH_EXIT_STATUS",
@@ -62,9 +52,4 @@ __all__ = [
     "Violation",
     "default_matrix",
     "storm_interval",
-    "hang_job_spec",
-    "journal_disk_full",
-    "sigkill",
-    "sigkill_after",
-    "tear_queue_tail",
 ]

@@ -71,18 +71,6 @@ SEED_RETRIED = "seed_retried"
 SEED_FAILED = "seed_failed"
 SEED_CACHED = "seed_cached"
 CAMPAIGN_FINISHED = "campaign_finished"
-SERVICE_STARTED = "service_started"
-JOB_SUBMITTED = "job_submitted"
-JOB_REJECTED = "job_rejected"
-JOB_STARTED = "job_started"
-JOB_FINISHED = "job_finished"
-JOB_FAILED = "job_failed"
-JOB_REQUEUED = "job_requeued"
-JOB_CANCELLED = "job_cancelled"
-JOB_CACHED = "job_cached"
-QUEUE_DEPTH = "queue_depth"
-SERVICE_DRAIN = "service_drain"
-SERVICE_STOPPED = "service_stopped"
 
 #: the campaign-telemetry vocabulary, in lifecycle order
 TELEMETRY_KINDS = (
@@ -93,25 +81,6 @@ TELEMETRY_KINDS = (
     SEED_FAILED,
     SEED_CACHED,
     CAMPAIGN_FINISHED,
-)
-
-#: the campaign-service vocabulary, in lifecycle order: the service's
-#: own telemetry sidecar carries queue-depth and job-state transitions
-#: (``repro serve status`` renders them); per-seed progress stays on
-#: each job's own campaign sidecar
-SERVICE_KINDS = (
-    SERVICE_STARTED,
-    JOB_SUBMITTED,
-    JOB_REJECTED,
-    JOB_STARTED,
-    JOB_FINISHED,
-    JOB_FAILED,
-    JOB_REQUEUED,
-    JOB_CANCELLED,
-    JOB_CACHED,
-    QUEUE_DEPTH,
-    SERVICE_DRAIN,
-    SERVICE_STOPPED,
 )
 
 #: every kind the simulator emits, in documentation order
@@ -132,7 +101,7 @@ EVENT_KINDS = (
     POOL_RESPAWN,
     CAMPAIGN_RESUME,
     CACHE_HIT,
-) + TELEMETRY_KINDS + SERVICE_KINDS
+) + TELEMETRY_KINDS
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,11 @@ completed seed.  This package hardens the harness itself:
   respawn, and graceful degradation to a serial path;
 * :mod:`repro.runtime.campaign`   — ties both together behind
   :func:`run_campaign`, whose ``resume=True`` skips journaled seeds and
-  merges to aggregates bit-identical to an uninterrupted run;
-* :mod:`repro.runtime.queue`      — durable flock-serialized op-log job
-  queue (priority lanes, idempotent fingerprint-keyed submission);
-* :mod:`repro.runtime.service`    — the long-running campaign service:
-  bounded worker fan-out over the queue with admission control,
-  graceful SIGTERM drain, per-job circuit breaking, and warm-cache
-  inline completion.
+  merges to aggregates bit-identical to an uninterrupted run.
 
-``python -m repro replicate --journal/--resume`` and ``python -m repro
-serve`` are the CLI surfaces; ``docs/RESILIENCE.md`` documents the
-journal and queue formats and the recovery ladder.
+``python -m repro replicate --journal/--resume`` is the CLI surface;
+``docs/RESILIENCE.md`` documents the journal format and the recovery
+ladder.
 """
 
 from repro.runtime.campaign import (
@@ -51,21 +45,6 @@ from repro.runtime.report import (
     summarize_telemetry,
     write_run_report,
 )
-from repro.runtime.queue import (
-    PRIORITIES,
-    JobQueue,
-    JobRecord,
-    QueueError,
-    load_queue,
-)
-from repro.runtime.service import (
-    EXIT_DRAINED,
-    Admission,
-    CampaignService,
-    ServiceConfig,
-    job_backoff_delay,
-    run_worker,
-)
 from repro.runtime.supervisor import (
     SeedFailure,
     SupervisedOutcome,
@@ -82,34 +61,24 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
-    "Admission",
     "CampaignHeader",
     "CampaignIncomplete",
     "CampaignInterrupted",
     "CampaignJournal",
     "CampaignResult",
-    "CampaignService",
     "CampaignTelemetry",
     "CapturedScenario",
-    "EXIT_DRAINED",
-    "JobQueue",
-    "JobRecord",
     "JournalError",
     "JournalSnapshot",
-    "PRIORITIES",
-    "QueueError",
     "SCHEMA_VERSION",
     "SeedFailure",
-    "ServiceConfig",
     "SupervisedOutcome",
     "Supervisor",
     "SupervisorPolicy",
     "backoff_delay",
     "build_run_report",
     "campaign_fingerprint",
-    "job_backoff_delay",
     "load_journal",
-    "load_queue",
     "merge_metric_snapshots",
     "peek_header",
     "read_telemetry",
@@ -117,7 +86,6 @@ __all__ = [
     "rebuild_spec",
     "render_run_report",
     "run_campaign",
-    "run_worker",
     "spec_signature",
     "summarize_telemetry",
     "telemetry_path",

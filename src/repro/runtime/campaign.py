@@ -89,9 +89,6 @@ class CampaignResult:
     respawns: int = 0
     timeouts: int = 0
     degraded: bool = False
-    #: a graceful drain (SIGTERM) stopped the campaign early; the
-    #: journal holds everything that finished, resume runs the rest
-    drained: bool = False
     journal_path: Optional[Path] = None
 
     @property
@@ -159,18 +156,8 @@ def run_campaign(
     metrics: Optional[MetricsRegistry] = None,
     cache: Optional["ResultCache"] = None,
     capture_metrics: bool = True,
-    drain_on_sigterm: bool = False,
 ) -> CampaignResult:
     """Run (or resume) one campaign under supervision.
-
-    ``drain_on_sigterm=True`` installs a SIGTERM handler for the
-    duration of the run that asks the supervisor to **drain**: every
-    in-flight seed finishes and is journaled, queued seeds are left for
-    a later ``--resume``, and the function returns normally with
-    ``result.drained`` set.  This is how the campaign service stops its
-    workers without losing (or duplicating) a single seed.  The
-    previous handler is restored on exit; outside the main thread the
-    flag is ignored (signals cannot be installed there).
 
     ``resume=True`` requires ``journal_path``; the journal's fingerprint
     must match ``(spec, seeds, experiment)`` or :class:`JournalError` is
@@ -294,7 +281,6 @@ def run_campaign(
             timeouts=result.timeouts,
             cache_hits=result.cache_hits,
             degraded=result.degraded,
-            drained=result.drained,
             runtime=supervisor.metrics.snapshot(),
         )
         if journal is not None:
@@ -305,17 +291,6 @@ def run_campaign(
 
     remaining = [s for s in seeds if s not in completed]
     outcome = SupervisedOutcome()
-    previous_sigterm = None
-    if drain_on_sigterm:
-        import signal
-
-        def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-            supervisor.request_drain()
-
-        try:
-            previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-        except ValueError:  # not the main thread; drain unavailable
-            previous_sigterm = None
     try:
         if remaining:
             outcome = supervisor.map(
@@ -335,11 +310,6 @@ def run_campaign(
         raise CampaignInterrupted(
             partial, journal_path if journal is not None else None
         ) from None
-    finally:
-        if drain_on_sigterm and previous_sigterm is not None:
-            import signal
-
-            signal.signal(signal.SIGTERM, previous_sigterm)
     return finish(outcome)
 
 
@@ -369,13 +339,12 @@ def _build_result(
         respawns=outcome.respawns,
         timeouts=outcome.timeouts,
         degraded=outcome.degraded,
-        drained=outcome.drained,
         journal_path=journal_path,
     )
 
 
 def _rebuildable_specs() -> Dict[str, type]:
-    """Spec types a journal/queue signature can reconstruct by name."""
+    """Spec types a journal signature can reconstruct by name."""
     from repro.analysis.parallel import (
         AttackReplicationSpec,
         BenignReplicationSpec,

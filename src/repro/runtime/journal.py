@@ -28,7 +28,6 @@ uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
-import errno
 import hashlib
 import json
 import os
@@ -43,30 +42,6 @@ SCHEMA_VERSION = 1
 
 #: value of the header's ``kind`` field
 JOURNAL_KIND = "repro-campaign-journal"
-
-#: chaos-only hook: when set to an integer N, the N+1th journal append
-#: in this process raises ``ENOSPC`` (see :mod:`repro.faults.service`).
-#: Never set outside chaos drills; the env lookup is one dict probe per
-#: append, dwarfed by the fsync beside it.
-CHAOS_ENOSPC_ENV = "REPRO_CHAOS_JOURNAL_ENOSPC_AFTER"
-
-#: process-wide append count, consulted only while the chaos env is set
-_chaos_appends = 0
-
-
-def _chaos_disk_full_check() -> None:
-    budget = os.environ.get(CHAOS_ENOSPC_ENV)
-    if budget is None:
-        return
-    global _chaos_appends
-    _chaos_appends += 1
-    if _chaos_appends > int(budget):
-        raise OSError(
-            errno.ENOSPC,
-            f"injected disk-full: journal append "
-            f"{_chaos_appends} > budget {budget} ({CHAOS_ENOSPC_ENV})",
-        )
-
 
 class JournalError(ValueError):
     """A journal is missing, malformed, or belongs to another campaign."""
@@ -396,7 +371,6 @@ class CampaignJournal:
     def _append_line(self, payload: Dict[str, object]) -> None:
         if self._stream is None:
             raise JournalError(f"{self.path}: journal is closed")
-        _chaos_disk_full_check()
         self._stream.write(json.dumps(payload, sort_keys=True) + "\n")
         self._stream.flush()
         os.fsync(self._stream.fileno())

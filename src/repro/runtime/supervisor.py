@@ -119,9 +119,6 @@ class SupervisedOutcome:
     timeouts: int = 0
     #: the supervisor gave up on process isolation and finished serially
     degraded: bool = False
-    #: a drain request stopped the map early: in-flight seeds finished
-    #: (and were delivered), queued seeds were left unrun
-    drained: bool = False
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -158,19 +155,6 @@ class Supervisor:
         self._started_monotonic = 0.0
         self._total_seeds = 0
         self._done_seeds = 0
-        self._drain = False
-
-    def request_drain(self) -> None:
-        """Ask the running map to stop gracefully: every in-flight seed
-        finishes (and is delivered through ``on_result``), no further
-        seed is dispatched, and :attr:`SupervisedOutcome.drained` is
-        set.  Safe to call from a signal handler — it only flips a flag
-        the scheduling loop polls."""
-        self._drain = True
-
-    @property
-    def draining(self) -> bool:
-        return self._drain
 
     # ------------------------------------------------------------------
     # Observability helpers
@@ -240,10 +224,6 @@ class Supervisor:
             self._run_serial(scenario, seeds, outcome, on_result)
         else:
             self._run_pooled(scenario, seeds, workers, outcome, on_result)
-        outcome.drained = self._drain and not all(
-            seed in outcome.results or seed in outcome.failures
-            for seed in seeds
-        )
         return outcome
 
     # ------------------------------------------------------------------
@@ -264,8 +244,6 @@ class Supervisor:
         )
         attempts: Dict[int, int] = {seed: 0 for seed in seeds}
         while queue:
-            if self._drain:
-                return
             seed = queue.popleft()
             attempts[seed] += 1
             self._telemetry(SEED_STARTED, seed=seed, attempt=attempts[seed])
@@ -302,14 +280,10 @@ class Supervisor:
         deadlines: Dict[object, Optional[float]] = {}
         try:
             while queue or inflight:
-                if self._drain and not inflight:
-                    # Draining with nothing in flight: queued seeds stay
-                    # unrun (the journal resumes them later).
-                    return
                 now = time.monotonic()
                 # Submit every ready seed up to the worker count, so a
                 # task's deadline starts roughly when it starts running.
-                while queue and len(inflight) < workers and not self._drain:
+                while queue and len(inflight) < workers:
                     seed = self._pop_ready(queue, ready_at, now)
                     if seed is None:
                         break
@@ -344,8 +318,6 @@ class Supervisor:
                         SEED_STARTED, seed=seed, attempt=attempts[seed]
                     )
                 if not inflight:
-                    if self._drain:
-                        return
                     # Everything pending is backing off; sleep it out.
                     gate = min(ready_at.get(s, now) for s in queue)
                     time.sleep(max(0.0, min(gate - now, 0.25)))
@@ -494,8 +466,6 @@ class Supervisor:
         queue.clear()
         serial_queue: Deque[int] = deque(remaining)
         while serial_queue:
-            if self._drain:
-                return
             seed = serial_queue.popleft()
             gate = ready_at.get(seed, 0.0) - time.monotonic()
             if gate > 0:

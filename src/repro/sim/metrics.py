@@ -109,7 +109,6 @@ def collect_metrics(
             system.mapper.memo_counters().keys(), "cache.addrmap"
         )
         registry.assert_covers(("hit", "miss", "evict"), "cache.tlb")
-        registry.assert_covers(("bulk_hits",), "cache.l2")
         for defense in defenses:
             if defense.attached and defense.counters:
                 registry.assert_covers(

@@ -225,10 +225,6 @@ class System:
                 "evict": self.mmu.tlb.evictions,
             },
         )
-        self.obs.metrics.register_gauges(
-            "cache.l2",
-            lambda: {"bulk_hits": self.cache.bulk_hits},
-        )
         # Fault plane and invariant suite (repro.faults) — built late so
         # their hooks and probes see the fully wired controller/device,
         # and imported lazily to keep sim<->faults import-cycle-free.

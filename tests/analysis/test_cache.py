@@ -119,59 +119,6 @@ def test_entries_stats_prune_clear(tmp_path):
     assert cache.entries() == []
 
 
-def test_publish_and_fold_cross_process_counters(tmp_path):
-    # two "processes" (instances) against one root; totals fold both
-    first = ResultCache(tmp_path)
-    first.put(SPEC, 1, {"v": 1})
-    first.get(SPEC, 1)          # hit
-    first.get(SPEC, 99)         # miss
-    first.publish_counters("worker-a")
-    second = ResultCache(tmp_path)
-    second.get(SPEC, 1)         # hit
-    second.publish_counters("worker-b")
-    totals = ResultCache(tmp_path).cross_process_counters()
-    assert totals == {"hits": 2, "misses": 1, "workers": 2}
-
-
-def test_republish_overwrites_same_worker(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.misses = 5
-    cache.publish_counters("worker-a")
-    cache.misses = 7
-    cache.publish_counters("worker-a")
-    totals = cache.cross_process_counters()
-    assert totals["misses"] == 7 and totals["workers"] == 1
-
-
-def test_counter_files_survive_prune_and_feed_stats(tmp_path):
-    cache = ResultCache(tmp_path)
-    for seed in (1, 2):
-        cache.put(SPEC, seed, {"v": seed})
-        cache.get(SPEC, seed)
-    cache.publish_counters("worker-a")
-    # prune reaps unreadable *entries*; the counter file is not an
-    # entry and must survive both prune and clear
-    assert cache.prune(max_entries=0) == 2
-    assert cache.clear() == 0
-    assert cache.cross_process_counters()["hits"] == 2
-    stats = cache.stats()
-    assert stats["shared_hits"] == 2 and stats["shared_workers"] == 1
-    assert cache.clear_counters() == 1
-    assert cache.cross_process_counters() == {
-        "hits": 0, "misses": 0, "workers": 0,
-    }
-
-
-def test_unreadable_counter_file_skipped_not_deleted(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.publish_counters("worker-a")
-    bogus = cache.stats_path() / "broken.counters"
-    bogus.write_text("not json")
-    totals = cache.cross_process_counters()
-    assert totals["workers"] == 1
-    assert bogus.exists()
-
-
 # ----------------------------------------------------------------------
 # Runner / campaign integration
 # ----------------------------------------------------------------------

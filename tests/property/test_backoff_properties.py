@@ -1,18 +1,16 @@
-"""Property tests pinning the backoff contract the service relies on.
+"""Property tests pinning the backoff contract of the supervisor.
 
-``backoff_delay`` is the pacing primitive under both the supervisor's
-per-seed retries and the service's per-job circuit breaker, so its
-contract is load-bearing three layers up: the delay must stay inside
-a deterministic jittered-exponential envelope, the envelope must never
-shrink as attempts accumulate, and the jitter must be a pure function
-of ``(fingerprint, seed, attempt)`` so reruns pace identically.
+``backoff_delay`` paces the supervisor's per-seed retries: the delay
+must stay inside a deterministic jittered-exponential envelope, the
+envelope must never shrink as attempts accumulate, and the jitter must
+be a pure function of ``(fingerprint, seed, attempt)`` so reruns pace
+identically.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.supervisor import SupervisorPolicy, backoff_delay
-from repro.runtime.service import ServiceConfig, job_backoff_delay
 
 fingerprints = st.text(
     alphabet="0123456789abcdef", min_size=8, max_size=16
@@ -86,15 +84,3 @@ def test_distinct_keys_decorrelate(fingerprint, seed, attempt, policy):
     bound = envelope(policy, attempt)
     assert 0.5 * bound <= other <= bound
 
-
-@given(attempt=attempts)
-@settings(max_examples=50, deadline=None)
-def test_job_backoff_rides_the_same_contract(attempt):
-    config = ServiceConfig()
-    delay = job_backoff_delay("a1b2c3d4e5f60718", attempt, config)
-    bound = min(
-        config.backoff_cap_s,
-        config.backoff_base_s * (2 ** (attempt - 1)),
-    )
-    assert 0.5 * bound <= delay <= bound
-    assert delay == job_backoff_delay("a1b2c3d4e5f60718", attempt, config)
