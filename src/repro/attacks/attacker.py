@@ -120,20 +120,22 @@ class Attacker:
         the round runs through :meth:`_hammer_round`, which is how the
         loop warms up.
 
-        Host-OS interrupt handlers run inside the chain.  Before one
-        runs, the CPU side is caught up through the access it
-        interrupts, and the flips of earlier rounds, and only those,
-        are drained.  That is what the per-access loop, which drains
-        after every round, has drained by then, and a handler can see
-        it: a drain corrupts data-plane lines, picked from the victim
-        row's lines at drain time, and feeds enclaves.  If the handler
-        moved a page or locked or evicted a line the chain reads, the
-        chain ends there and :meth:`_finish_round` runs the rest of the
-        round per access.  Flips drain after every call and every round
-        run here, all at round boundaries.
+        Host-OS interrupt handlers, and the actions of ACT observers
+        (PARA's neighbour refresh, ANVIL's refresh loads), run inside the
+        chain.  Before one runs, the CPU side is caught up through the
+        access it interrupts, and the flips of earlier rounds, and only
+        those, are drained.  That is what the per-access loop, which
+        drains after every round, has drained by then, and a handler can
+        see it: a drain corrupts data-plane lines, picked from the
+        victim row's lines at drain time, and feeds enclaves.  If the
+        handler moved a page or locked or evicted a line the chain reads
+        (ANVIL's flushes may), the chain ends there and
+        :meth:`_finish_round` runs the rest of the round per access.
+        Flips drain after every call and every round run here, all at
+        round boundaries.
 
-        DMA plans, trace sinks and ACT observers without a bulk twin
-        keep every round on :meth:`_hammer_round` (see
+        DMA plans, trace sinks and a wrapped tracker hook keep every
+        round on :meth:`_hammer_round` (see
         :attr:`~repro.mc.controller.MemoryController.supports_chain`).
         """
         system = self.system

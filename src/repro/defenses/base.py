@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.primitives import Primitive, PrimitiveSet
 from repro.core.taxonomy import DefenseTraits
@@ -65,16 +65,6 @@ class Defense(abc.ABC):
     #: domains by mitigation pressure (BreakHammer) read these to
     #: attribute blame generically, whatever the base tracker is.
     mitigation_counters: Tuple[str, ...] = ()
-    #: Whether the defense's ACT-path hooks are safe under the MC's bulk
-    #: (chain) engine.  True for defenses whose hooks are inline-safe
-    #: there — act gates, interrupt subscriptions, in-DRAM mitigations,
-    #: allocator policies — or that install a bulk observer twin.  Set
-    #: False when ``_wire`` installs a *scalar-only* ACT observer whose
-    #: semantics depend on strict per-ACT interleaving with the rest of
-    #: the controller (e.g. observers that re-enter the MC to refresh
-    #: rows); hammer loops then stay on the per-access path
-    #: (:attr:`~repro.mc.controller.MemoryController.supports_chain`).
-    supports_bulk_acts: bool = True
 
     def __init__(self) -> None:
         self.system: "System | None" = None
@@ -117,42 +107,6 @@ class Defense(abc.ABC):
     def cost(self) -> DefenseCost:
         """Hardware budget; default is free (pure-policy defenses)."""
         return DefenseCost()
-
-    # ------------------------------------------------------------------
-    # Bulk ACT API (the chain engine's observer twin)
-    # ------------------------------------------------------------------
-
-    def on_activate_bulk(
-        self,
-        addresses: Sequence[object],
-        times: Sequence[int],
-        domains: Optional[Sequence[Optional[int]]] = None,
-        dmas: Optional[Sequence[bool]] = None,
-    ) -> None:
-        """Observe a whole vector of ACTs.
-
-        The default is a *segmented replay*: if the subclass defines a
-        scalar per-ACT hook ``_on_act(address, time_ns, domain,
-        is_dma)`` it is called once per element, in order — correct for
-        any observer, with none of the vector speedup.  Defenses with a
-        vectorizable tracker override this (and pass it as the ``bulk=``
-        twin when subscribing via
-        :meth:`~repro.mc.controller.MemoryController.add_act_observer`);
-        defenses whose scalar hook must interleave strictly with the
-        controller's own per-ACT machinery set
-        ``supports_bulk_acts = False`` instead and never advertise a
-        bulk twin.
-        """
-        hook = getattr(self, "_on_act", None)
-        if hook is None:
-            return
-        for index in range(len(times)):
-            hook(
-                addresses[index],
-                times[index],
-                None if domains is None else domains[index],
-                False if dmas is None else dmas[index],
-            )
 
     # ------------------------------------------------------------------
     # Convenience

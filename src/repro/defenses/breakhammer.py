@@ -15,10 +15,8 @@ The base defense is pluggable: any :class:`~repro.defenses.base.Defense`
 that declares ``mitigation_counters`` (the generic "I just spent work
 mitigating" signal) can be wrapped.  The default base is
 :class:`~repro.defenses.prac.PracDefense` — the canonical pairing in
-the PRACtical line, and bulk-exact, so the composite keeps
-``supports_bulk_acts = True``.  Wrapping a scalar-only base (say
-Graphene) works too; the composite then honestly reports itself
-scalar-only and hammer loops stay on the per-access path.
+the PRACtical line.  Any other base works too (say PARA or Graphene):
+its per-ACT hooks run inside the hammer chain like everyone else's.
 
 The throttle gate runs inline on every ACT in both the scalar and the
 chain submission paths, so the composite is bulk == scalar by
@@ -100,10 +98,6 @@ class BreakHammerDefense(Defense):
         self.base = base
         self.suspect_threshold = suspect_threshold
         self.trickle_fraction = trickle_fraction
-        # the composite is only as bulk-safe as its base: the gate
-        # itself is inline on both paths, but a scalar-only base still
-        # forces the ordered fallback
-        self.supports_bulk_acts = base.supports_bulk_acts
         self._scores: Dict[int, int] = {}
         self._acts: Dict[int, int] = {}
         self._suspects: set = set()

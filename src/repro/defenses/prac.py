@@ -22,8 +22,8 @@ explicitly because they are where the scheme's costs live:
 ``PracDefense`` rides the :class:`~repro.dram.device` mitigation hook
 (``on_activate`` inline on every ACT — scalar and chain legs alike —
 and ``targets_to_refresh`` consumed at each REF burst on
-flushed state), so it is bulk-exact with ``supports_bulk_acts = True``
-and zero engine changes.
+flushed state), so the hammer chain serves it exactly with zero engine
+changes.
 
 Its ``cost()`` is the §3 density-scaling liability made concrete: one
 counter *per row*, so tracker storage grows linearly with chip

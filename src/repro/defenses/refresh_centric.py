@@ -39,6 +39,7 @@ from repro.dram.geometry import DdrAddress
 from repro.mc.counters import ActInterrupt
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mc.controller import ActAction
     from repro.sim.system import System
 
 RowId = Tuple[int, int, int, int]
@@ -179,9 +180,6 @@ class AnvilDefense(Defense):
         scales_with_density=True,
     )
     requires: Tuple[Primitive, ...] = ()  # deployable today
-    #: scalar-only ACT observer that re-enters the MC (flush+load
-    #: refreshes) — must see strictly ordered per-ACT events
-    supports_bulk_acts = False
 
     def __init__(self, threshold_margin: float = 0.45, radius: Optional[int] = None):
         super().__init__()
@@ -201,11 +199,11 @@ class AnvilDefense(Defense):
 
     def _on_act(
         self, address: DdrAddress, now: int, domain: Optional[int], is_dma: bool
-    ) -> None:
+    ) -> Optional[ActAction]:
         if is_dma:
-            return  # invisible to core performance counters
+            return None  # invisible to core performance counters
         if self._in_handler:
-            return  # our own refresh loads
+            return None  # our own refresh loads
         if now >= self._window_end:
             self._counts.clear()
             refw = self.system.timings.tREFW
@@ -213,15 +211,11 @@ class AnvilDefense(Defense):
                 self._window_end += refw
         row = address.row_key()
         count = self._counts.get(row, 0) + 1
-        if count >= self._threshold:
-            self._counts[row] = 0
-            self._in_handler = True
-            try:
-                self._refresh_via_loads(address, now)
-            finally:
-                self._in_handler = False
-        else:
+        if count < self._threshold:
             self._counts[row] = count
+            return None
+        self._counts[row] = 0
+        return lambda: self._refresh_via_loads(address, now)
 
     def _refresh_via_loads(self, aggressor: DdrAddress, now: int) -> None:
         """The convoluted path of §4.3: flush + load one line per victim
@@ -231,21 +225,26 @@ class AnvilDefense(Defense):
         system = self.system
         assert system is not None and self.radius is not None
         self.bump("suspicions")
-        when = now
-        for victim in _neighbor_addresses(system, aggressor, self.radius):
-            line = system.some_line_in_row(victim.row_key())
-            if line is None:
-                self.bump("unmapped_victims_skipped")
-                continue
-            system.cache.flush(line)
-            completed = system.controller.submit(
-                MemoryRequest(time_ns=when, physical_line=line, is_write=False)
-            )
-            when = completed.ready_at_ns
-            if completed.caused_act:
-                self.bump("effective_refreshes")
-            else:
-                self.bump("ineffective_refreshes")  # row buffer absorbed it
+        self._in_handler = True
+        try:
+            when = now
+            for victim in _neighbor_addresses(system, aggressor, self.radius):
+                line = system.some_line_in_row(victim.row_key())
+                if line is None:
+                    self.bump("unmapped_victims_skipped")
+                    continue
+                system.cache.flush(line)
+                completed = system.controller.submit(MemoryRequest(
+                    time_ns=when, physical_line=line, is_write=False
+                ))
+                when = completed.ready_at_ns
+                if completed.caused_act:
+                    self.bump("effective_refreshes")
+                else:
+                    # the row buffer absorbed it
+                    self.bump("ineffective_refreshes")
+        finally:
+            self._in_handler = False
 
 
 class ParaDefense(Defense):
@@ -264,9 +263,6 @@ class ParaDefense(Defense):
         scales_with_density=False,  # frozen radius, probability retuning
     )
     requires: Tuple[Primitive, ...] = ()
-    #: scalar-only ACT observer that re-enters the device (neighbor
-    #: refresh ACTs) — hammer loops stay on the per-access path
-    supports_bulk_acts = False
 
     def __init__(self, probability: float = 0.01, refresh_radius: int = 1) -> None:
         super().__init__()
@@ -277,7 +273,6 @@ class ParaDefense(Defense):
         self.probability = probability
         self.refresh_radius = refresh_radius
         self._rng = random.Random(0xBA5E)
-        self._refreshing = False
 
     def _wire(self, system: "System") -> None:
         self._rng = random.Random(system.config.seed ^ 0xBA5E)
@@ -285,24 +280,22 @@ class ParaDefense(Defense):
 
     def _on_act(
         self, address: DdrAddress, now: int, domain: Optional[int], is_dma: bool
-    ) -> None:
-        if self._refreshing:
-            return  # don't recurse on our own refresh ACTs
+    ) -> Optional[ActAction]:
         if self._rng.random() >= self.probability:
-            return
+            return None
         neighbors = _neighbor_addresses(self.system, address, self.refresh_radius)
         if not neighbors:
-            return
+            return None
         victim = self._rng.choice(neighbors)
-        self._refreshing = True
-        try:
-            self.system.device.activate(
-                victim, now, domain=None, precharge_after=True,
-                refresh_only=True,
-            )
-            self.bump("neighbor_refreshes")
-        finally:
-            self._refreshing = False
+        return lambda: self._refresh(victim, now)
+
+    def _refresh(self, victim: DdrAddress, now: int) -> None:
+        # a refresh-path ACT on the device: no controller ACT, so it
+        # never comes back to this observer
+        self.system.device.activate(
+            victim, now, domain=None, precharge_after=True, refresh_only=True,
+        )
+        self.bump("neighbor_refreshes")
 
 
 class GrapheneDefense(Defense):
@@ -326,9 +319,6 @@ class GrapheneDefense(Defense):
         scales_with_density=False,  # table ∝ 1/MAC
     )
     requires: Tuple[Primitive, ...] = ()
-    #: scalar-only ACT observer that re-enters the device (neighbor
-    #: refresh ACTs) — hammer loops stay on the per-access path
-    supports_bulk_acts = False
 
     def __init__(
         self,
@@ -347,7 +337,6 @@ class GrapheneDefense(Defense):
         self._threshold = 0
         self._entries = 0
         self._window_end = 0
-        self._refreshing = False
 
     def required_entries(self, system: "System") -> int:
         """Misra-Gries sizing for the protection guarantee: catch any row
@@ -377,9 +366,7 @@ class GrapheneDefense(Defense):
 
     def _on_act(
         self, address: DdrAddress, now: int, domain: Optional[int], is_dma: bool
-    ) -> None:
-        if self._refreshing:
-            return
+    ) -> Optional[ActAction]:
         if now >= self._window_end:
             self._tables.clear()
             refw = self.system.timings.tREFW
@@ -398,22 +385,20 @@ class GrapheneDefense(Defense):
                 if table[key] <= 0:
                     del table[key]
             self.bump("mg_decrements")
-            return
-        if table[row] >= self._threshold:
-            table[row] = 0
-            self._refresh_neighbors(address, now)
+            return None
+        if table[row] < self._threshold:
+            return None
+        table[row] = 0
+        return lambda: self._refresh_neighbors(address, now)
 
     def _refresh_neighbors(self, aggressor: DdrAddress, now: int) -> None:
-        self._refreshing = True
-        try:
-            for victim in _neighbor_addresses(self.system, aggressor, self.radius):
-                self.system.device.activate(
-                    victim, now, domain=None, precharge_after=True,
-                    refresh_only=True,
-                )
-                self.bump("neighbor_refreshes")
-        finally:
-            self._refreshing = False
+        # refresh-path ACTs on the device never come back to the observer
+        for victim in _neighbor_addresses(self.system, aggressor, self.radius):
+            self.system.device.activate(
+                victim, now, domain=None, precharge_after=True,
+                refresh_only=True,
+            )
+            self.bump("neighbor_refreshes")
 
 
 class TwiceDefense(GrapheneDefense):
@@ -452,14 +437,15 @@ class TwiceDefense(GrapheneDefense):
 
     def _on_act(
         self, address: DdrAddress, now: int, domain: Optional[int], is_dma: bool
-    ) -> None:
+    ) -> Optional[ActAction]:
         if now >= self._prune_at:
             self._prune(now)
-        super()._on_act(address, now, domain, is_dma)
+        action = super()._on_act(address, now, domain, is_dma)
         occupancy = max(
             (len(table) for table in self._tables.values()), default=0
         )
         self._peak_entries = max(self._peak_entries, occupancy)
+        return action
 
     def _prune(self, now: int) -> None:
         """Drop rows whose activation rate cannot reach the threshold

@@ -21,17 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from repro.dram.geometry import DdrAddress, DramGeometry
-
-#: Below this many ACTs the numpy kernel's array setup costs more than
-#: the scalar walk it replaces (event vectors, lexsort, group scan).
-#: Measured crossover vs the fused radius-1 scalar twin: ~128 ACTs on
-#: two-aggressor attack streams, never reached on scattered streams —
-#: large batches still prefer the kernel because pathological batches
-#: (many ACTs, few victims) scale with O(groups), not O(acts).
-_BULK_MIN_ACTS = 128
 
 RowKey = Tuple[int, int, int, int]
 
@@ -252,7 +242,6 @@ class DisturbanceTracker:
         times: Sequence[int],
         domains: Optional[Sequence[Optional[int]]] = None,
         rows: Optional[Sequence[int]] = None,
-        bank_ids: Optional[Sequence[int]] = None,
         out_positions: Optional[List[int]] = None,
     ) -> List[BitFlip]:
         """Record a whole vector of ACTs; return the flips in event order.
@@ -260,18 +249,11 @@ class DisturbanceTracker:
         Exactly equivalent to calling :meth:`on_activate` once per
         element — same pressures, same tripped state, same flips in the
         same order, same RNG stream (the property suite pins this
-        bit-for-bit).  ``rows``, when given, overrides each address's row
-        (the device passes remapped internal rows this way without
-        materializing fresh ``DdrAddress`` objects); ``bank_ids``, when
-        given, carries each element's flat bank index so the numpy
-        kernel builds its arrays from plain ints instead of walking
-        address attributes.
-
-        The vector form exists because neighbour accrual dominates
-        attack-shape profiles: the numpy kernel replaces the per-ACT
-        dict walk with one lexsorted event array and a cumulative sum
-        per victim group.  Small batches run the scalar twin instead —
-        behaviour is identical either way.
+        bit-for-bit) — with the per-call overhead fused out: one loop,
+        maps and profile constants hoisted once.  ``rows``, when given,
+        overrides each address's row (the chain engine passes remapped
+        internal rows this way without materializing fresh
+        ``DdrAddress`` objects).
 
         ``out_positions``, when given, receives one batch position (the
         index of the causing ACT within ``addresses``) per *returned*
@@ -281,29 +263,6 @@ class DisturbanceTracker:
         (its ``settled`` count).
         """
         count = len(addresses)
-        if count == 0:
-            return []
-        if count < _BULK_MIN_ACTS:
-            return self._bulk_scalar_fused(
-                addresses, times, domains, rows, count, out_positions
-            )
-        return self._on_activate_bulk_np(
-            addresses, times, domains, rows, count, bank_ids, out_positions
-        )
-
-    def _bulk_scalar_fused(
-        self,
-        addresses: Sequence[DdrAddress],
-        times: Sequence[int],
-        domains: Optional[Sequence[Optional[int]]],
-        rows: Optional[Sequence[int]],
-        count: int,
-        out_positions: Optional[List[int]] = None,
-    ) -> List[BitFlip]:
-        """Scalar twin with the per-call overhead of :meth:`on_activate`
-        fused out: one loop, maps and profile constants hoisted once.
-        Bit-identical to the per-ACT path (same dict operations, same
-        RNG draws in the same order)."""
         pressure_map = self._pressure
         tripped = self._tripped
         profile = self.profile
@@ -367,193 +326,6 @@ class DisturbanceTracker:
                         flips.append(flip)
                         if out_positions is not None:
                             out_positions.append(index)
-        return flips
-
-    def _on_activate_bulk_np(
-        self,
-        addresses: Sequence[DdrAddress],
-        times: Sequence[int],
-        domains: Optional[Sequence[Optional[int]]],
-        rows: Optional[Sequence[int]],
-        count: int,
-        bank_ids: Optional[Sequence[int]] = None,
-        out_positions: Optional[List[int]] = None,
-    ) -> List[BitFlip]:
-        """Numpy body of :meth:`on_activate_bulk`.
-
-        Strategy: explode the batch into per-victim *events* — one reset
-        at each aggressor's own row, one weighted add per in-subarray
-        neighbour — then lexsort by (victim row, batch position) so each
-        victim's history is a contiguous, temporally ordered group.
-        Groups without a reset reduce to one cumulative sum (a strict
-        left fold, so the float stream matches the scalar adds bit for
-        bit); groups containing a reset replay their few events exactly.
-        MAC crossings are collected as (batch position, victim) pairs and
-        handed to ``_maybe_flip`` in scalar call order, preserving the
-        RNG stream and the flip log.
-        """
-        np = _np
-        self.total_acts += count
-        geometry = self.geometry
-        profile = self.profile
-        rows_per_subarray = geometry.rows_per_subarray
-        rows_per_bank = geometry.rows_per_bank
-        banks_per_rank = geometry.banks_per_rank
-        ranks_per_channel = geometry.ranks_per_channel
-
-        # Callers that already hold flat columns (the controller's bulk
-        # engine defers plain ints per ACT) skip the attribute walks —
-        # they are the kernel's dominant fixed cost at small counts.
-        if bank_ids is not None:
-            bank_flat = np.asarray(bank_ids, dtype=np.int64)
-        else:
-            channel = np.fromiter(
-                (a.channel for a in addresses), np.int64, count
-            )
-            rank = np.fromiter((a.rank for a in addresses), np.int64, count)
-            bank = np.fromiter((a.bank for a in addresses), np.int64, count)
-            bank_flat = (
-                channel * ranks_per_channel + rank
-            ) * banks_per_rank + bank
-        if rows is None:
-            row = np.fromiter((a.row for a in addresses), np.int64, count)
-        else:
-            row = np.asarray(rows, dtype=np.int64)
-        subarray_start = (row // rows_per_subarray) * rows_per_subarray
-        subarray_end = subarray_start + rows_per_subarray
-        act_index = np.arange(count, dtype=np.int64)
-
-        key_parts = [bank_flat * rows_per_bank + row]
-        idx_parts = [act_index]
-        weight_parts = [np.zeros(count)]
-        reset_parts = [np.ones(count, dtype=bool)]
-        weights = profile._weights
-        for distance in range(1, profile.blast_radius + 1):
-            weight = weights[distance]
-            for side in (-distance, distance):
-                victim_row = row + side
-                mask = (victim_row >= subarray_start) & (
-                    victim_row < subarray_end
-                )
-                if not mask.any():
-                    continue
-                kept = int(mask.sum())
-                key_parts.append(
-                    bank_flat[mask] * rows_per_bank + victim_row[mask]
-                )
-                idx_parts.append(act_index[mask])
-                weight_parts.append(np.full(kept, weight))
-                reset_parts.append(np.zeros(kept, dtype=bool))
-        event_key = np.concatenate(key_parts)
-        event_idx = np.concatenate(idx_parts)
-        event_weight = np.concatenate(weight_parts)
-        event_reset = np.concatenate(reset_parts)
-        order = np.lexsort((event_idx, event_key))
-        event_key = event_key[order]
-        event_idx = event_idx[order]
-        event_weight = event_weight[order]
-        event_reset = event_reset[order]
-
-        boundaries = np.flatnonzero(event_key[1:] != event_key[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(event_key)]))
-        group_has_reset = np.logical_or.reduceat(event_reset, starts)
-
-        # The walk below touches these element-by-element; list indexing
-        # returns cached small ints instead of fresh numpy scalars.
-        starts_l = starts.tolist()
-        ends_l = ends.tolist()
-        group_keys = event_key[starts].tolist()
-        has_reset_l = group_has_reset.tolist()
-        idx_l = event_idx.tolist()
-        weight_l = event_weight.tolist()
-        reset_l = event_reset.tolist()
-
-        pressure_map = self._pressure
-        tripped = self._tripped
-        mac = profile.mac
-        #: (batch position, victim key) of every MAC crossing, in the
-        #: order the scalar path would have fired them
-        candidates: List[Tuple[int, RowKey]] = []
-        #: victims whose final state is un-tripped although a crossing
-        #: fired earlier in the batch (a reset followed it) — fixed up
-        #: after the replay below re-marks them
-        trip_reverts: List[RowKey] = []
-        for group in range(len(starts_l)):
-            start = starts_l[group]
-            end = ends_l[group]
-            bank_part, victim_row = divmod(group_keys[group], rows_per_bank)
-            chan_part, bank_nr = divmod(bank_part, banks_per_rank)
-            chan_nr, rank_nr = divmod(chan_part, ranks_per_channel)
-            victim_key = (chan_nr, rank_nr, bank_nr, victim_row)
-            if not has_reset_l[group]:
-                pressure = pressure_map.get(victim_key, 0.0)
-                if end - start <= 4:
-                    was_tripped = tripped.get(victim_key)
-                    crossing = -1
-                    for position in range(start, end):
-                        pressure += weight_l[position]
-                        if (crossing < 0 and not was_tripped
-                                and pressure >= mac):
-                            crossing = position
-                    pressure_map[victim_key] = pressure
-                    if crossing >= 0:
-                        candidates.append(
-                            (idx_l[crossing], victim_key)
-                        )
-                else:
-                    series = np.cumsum(np.concatenate(
-                        ((pressure,), event_weight[start:end])
-                    ))[1:]
-                    pressure_map[victim_key] = float(series[-1])
-                    if not tripped.get(victim_key):
-                        crossed = np.flatnonzero(series >= mac)
-                        if crossed.size:
-                            candidates.append((
-                                idx_l[start + int(crossed[0])],
-                                victim_key,
-                            ))
-            else:
-                in_map = victim_key in pressure_map
-                pressure = pressure_map.get(victim_key, 0.0)
-                trip = bool(tripped.get(victim_key))
-                for position in range(start, end):
-                    if reset_l[position]:
-                        in_map = False
-                        pressure = 0.0
-                        trip = False
-                        continue
-                    pressure += weight_l[position]
-                    in_map = True
-                    if pressure >= mac and not trip:
-                        trip = True
-                        candidates.append(
-                            (idx_l[position], victim_key)
-                        )
-                if in_map:
-                    pressure_map[victim_key] = pressure
-                else:
-                    pressure_map.pop(victim_key, None)
-                if not trip:
-                    trip_reverts.append(victim_key)
-
-        candidates.sort()
-        flips: List[BitFlip] = []
-        for act, victim_key in candidates:
-            address = addresses[act]
-            aggressor_key = (
-                address.channel, address.rank, address.bank, int(row[act]),
-            )
-            flip = self._maybe_flip(
-                victim_key, aggressor_key, times[act],
-                None if domains is None else domains[act],
-            )
-            if flip is not None:
-                flips.append(flip)
-                if out_positions is not None:
-                    out_positions.append(act)
-        for victim_key in trip_reverts:
-            tripped.pop(victim_key, None)
         return flips
 
     def on_refresh(self, row_key: RowKey) -> None:

@@ -60,6 +60,9 @@ _PARITY_MASKS: List[Tuple[int, int]] = [
     for check in _CHECK_POSITIONS
 ]
 
+#: mask of the codeword positions that hold data bits
+_DATA_MASK = sum(1 << position for position in _DATA_POSITIONS)
+
 assert len(_DATA_POSITIONS) == DATA_BITS
 
 
@@ -139,25 +142,38 @@ def decode(word: int) -> DecodeResult:
 
 
 def classify_flips(data: int, bit_indices: List[int]) -> EccOutcome:
-    """Ground-truth classification: encode ``data``, flip the codeword
-    bits at ``bit_indices``, decode, and compare.
+    """Ground-truth classification of flipping the bits at
+    ``bit_indices`` of ``data``'s codeword, as encode → flip → decode →
+    compare would find it:
 
     * decoded == original and hardware said CLEAN/CORRECTED → CORRECTED
       (or CLEAN when nothing flipped);
     * hardware said DETECTED → DETECTED (crash, a DoS outcome);
     * decoded != original while hardware said CLEAN/CORRECTED → SILENT.
+
+    The code is linear, so the outcome depends on the error pattern
+    alone, never on ``data``: the decoder sees the pattern's syndrome
+    (the XOR of the flipped Hamming positions) and its overall parity
+    (the flip count mod 2), and the word decodes wrong exactly when the
+    pattern left after the decoder's correction touches a data position.
     """
-    word = encode(data)
+    if not 0 <= data < (1 << DATA_BITS):
+        raise ValueError("data must be a 64-bit unsigned integer")
+    error = syndrome = 0
     for bit in bit_indices:
         if not 0 <= bit < CODEWORD_BITS:
             raise ValueError(f"bit index {bit} out of codeword range")
-        word ^= 1 << bit
-    result = decode(word)
-    if result.outcome is EccOutcome.DETECTED:
+        error ^= 1 << bit
+        syndrome ^= bit
+    if len(bit_indices) & 1:
+        if syndrome >= CODEWORD_BITS:
+            return EccOutcome.DETECTED
+        error ^= 1 << syndrome  # the decoder's correction
+    elif syndrome:
         return EccOutcome.DETECTED
-    if result.data == data:
-        return EccOutcome.CLEAN if not bit_indices else EccOutcome.CORRECTED
-    return EccOutcome.SILENT
+    if error & _DATA_MASK:
+        return EccOutcome.SILENT
+    return EccOutcome.CORRECTED if bit_indices else EccOutcome.CLEAN
 
 
 def classify_line_flips(

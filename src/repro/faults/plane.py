@@ -36,6 +36,7 @@ from repro.obs import events as _ev
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dram.geometry import DdrAddress
+    from repro.mc.controller import ActAction
     from repro.sim.system import System
 
 
@@ -176,10 +177,13 @@ class FaultPlane:
     def _on_act_reconfig(
         self, address: "DdrAddress", now: int,
         domain: Optional[int], is_dma: bool,
-    ) -> None:
+    ) -> Optional["ActAction"]:
         self._acts_seen += 1
         if self._acts_seen % self.config.reconfig_every_acts:
-            return
+            return None
+        return lambda: self._reconfig_storm(now)
+
+    def _reconfig_storm(self, now: int) -> None:
         assert self.system is not None
         self.counters["reconfig_storms"] += 1
         for counter in self.system.controller.counters.values():

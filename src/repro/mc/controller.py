@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dram.device import DramDevice
 from repro.dram.disturbance import BitFlip
@@ -81,20 +81,16 @@ class CompletedRequest:
 ActGate = Callable[[DdrAddress, int, Optional[int]], int]
 
 # An ACT observer sees every ACT the controller issues (address, time,
-# domain, is_dma).  In-MC tracker defenses (Graphene, TWiCe, PARA)
-# subscribe here.
-ActObserver = Callable[[DdrAddress, int, Optional[int], bool], None]
-
-# Vector twin of an ActObserver: one call per flushed run of ACTs
-# (addresses, completion times, domains; never DMA — DMA requests cannot
-# enter the chain engine).  A bulk observer must be equivalent to its
-# scalar twin called per element and must not retain the sequences (the
-# engine reuses them).  It may be invoked slightly *earlier* than the
-# scalar path would have called the per-ACT observer relative to an
-# interrupt handler firing on the same ACT; observers that need strict
-# ordering against handlers should not provide a bulk twin.
-BulkActObserver = Callable[
-    [Sequence[DdrAddress], Sequence[int], Sequence[Optional[int]]], None
+# domain, is_dma).  In-MC tracker defenses (Graphene, TWiCe, PARA) and
+# ANVIL subscribe here.  It returns None, or an *action*: a
+# zero-argument callable that does whatever touches the device, the
+# controller or the LLC (a neighbour refresh, refresh loads, a counter
+# reconfiguration).  The decision itself reads no tracker or CPU state,
+# so the chain engine can call it inline and run the action once that
+# state is exact (see MemoryController.submit_chain).
+ActAction = Callable[[], None]
+ActObserver = Callable[
+    [DdrAddress, int, Optional[int], bool], Optional[ActAction]
 ]
 
 
@@ -159,10 +155,6 @@ class MemoryController:
         self._next_ref_at: int = device.timings.tREFI
         self._act_gates: List[ActGate] = []
         self._act_observers: List[ActObserver] = []
-        # Parallel to _act_observers: the bulk twin of each observer, or
-        # None when the subscriber only handles scalar dispatch (which
-        # keeps hammer loops off the chain engine; see supports_chain).
-        self._act_observer_bulk: List[Optional[BulkActObserver]] = []
         self.refresh_enabled: bool = True
         # Fault-injection seams (installed by repro.faults.plane): the
         # refresh hook may divert a ``refresh`` instruction to a row
@@ -200,22 +192,13 @@ class MemoryController:
     def add_act_gate(self, gate: ActGate) -> None:
         self._act_gates.append(gate)
 
-    def add_act_observer(
-        self,
-        observer: ActObserver,
-        bulk: Optional[BulkActObserver] = None,
-    ) -> None:
+    def add_act_observer(self, observer: ActObserver) -> None:
         """Subscribe ``observer`` to every ACT the controller issues.
 
-        ``bulk``, when given, is the observer's vector twin: the chain
-        engine (:meth:`submit_chain`) hands it whole runs of ACTs
-        instead of one call per ACT.  Subscribers without a bulk twin
-        keep full scalar semantics — :attr:`supports_chain` is then
-        false, so hammer loops stay on the per-request path and
-        stateful observers never see reordered or coalesced events.
-        """
+        The request paths run the action it returns at once; the chain
+        engine (:meth:`submit_chain`) runs it inside the caller's
+        ``before``/``after`` bracket."""
         self._act_observers.append(observer)
-        self._act_observer_bulk.append(bulk)
 
     # ------------------------------------------------------------------
     # The request path
@@ -505,15 +488,14 @@ class MemoryController:
         """Whether :meth:`submit_chain` may service a hammer chain.
 
         It may when no trace sink is enabled (traced runs stay on the
-        per-request path), every ACT observer has a bulk twin, and
-        nobody wrapped the disturbance tracker's per-ACT hook on the
-        instance (the deep invariant probes do; the chain never calls
-        that hook).  Subscribed interrupt handlers do not matter: they
-        run inside the chain, between the caller's ``before`` and
-        ``after`` callbacks."""
+        per-request path) and nobody wrapped the disturbance tracker's
+        per-ACT hook on the instance (the deep invariant probes do; the
+        chain never calls that hook).  Subscribed interrupt handlers and
+        ACT observers do not matter: they run inside the chain, their
+        effects between the caller's ``before`` and ``after``
+        callbacks."""
         return (
             not self.trace.enabled
-            and None not in self._act_observer_bulk
             and "on_activate" not in vars(self.device.tracker)
         )
 
@@ -538,47 +520,55 @@ class MemoryController:
         :meth:`~repro.cpu.core.Core.hammer_access`, where the next
         access waits for the previous load.  The first read issues at
         ``start_ns + flush_ns``.  Requests, ACTs, refresh bursts, gates,
-        in-DRAM mitigations and counters land exactly as if each read
-        went through :meth:`submit` at its issue time.
+        in-DRAM mitigations, counters and ACT observers land exactly as
+        if each read went through :meth:`submit` at its issue time.
 
         Reads come in rounds of ``round_len``: the chain stops at a
         round boundary once the clock reaches ``deadline_ns`` (None:
         never).
 
-        Host-OS interrupt handlers run in place, bracketed by the
-        caller's callbacks:
+        Host-OS interrupt handlers and the actions ACT observers return
+        run in place, bracketed by the caller's callbacks:
 
         * ``before(i, settled)`` runs just before the handlers that the
-          ACT of read ``i`` raises, once every ACT up to it has reached
-          the tracker and the counters.  The caller brings its own
-          state up to read ``i`` here.  ``settled`` is the length of the
-          tracker's flip list that ACTs of earlier rounds (and handlers
+          ACT of read ``i`` raises, or an action an observer returns
+          for it, once every ACT up to it has reached the tracker and
+          the counters.  The caller brings its own state up to read
+          ``i`` here.  ``settled`` is the length of the tracker's flip
+          list that ACTs of earlier rounds (and handlers and actions
           run in them) account for;
         * ``after()`` runs just after them.  If it returns False, the
-          chain ends with read ``i``.
+          chain ends with read ``i``; the ACT of read ``i`` still
+          reaches every observer first, as on :meth:`submit`.
 
         Returns ``(reads serviced, clock)``, where the clock is the
         retire time of the last serviced read (``start_ns`` if none).
         Callers must check :attr:`supports_chain` first.
 
-        The per-ACT side effects run in column space:
+        The per-ACT side effects run in the order of :meth:`_note_act`:
+        the in-DRAM mitigation samples and disturbance accrues, then
+        the counter counts (and its handlers run), then each observer
+        decides, in subscription order, its action running before the
+        next observer is called.  Two of them are deferred:
 
-        * disturbance accrual is deferred into address/row/time columns
-          and flushed through :meth:`DisturbanceTracker.on_activate_bulk`
-          (at refresh boundaries, counter overflows and the end of the
-          call, the points where tracker state becomes observable), and
-          ACT observers get the same columns through their bulk twins;
+        * disturbance accrual goes into address/row/time columns,
+          flushed through :meth:`DisturbanceTracker.on_activate_bulk`
+          at refresh boundaries, before handlers and actions, and at
+          the end of the call, the points where tracker state becomes
+          observable;
         * per-channel ACT counts are kept in locals; quiet runs settle
           via :meth:`ActCounter.absorb` and each overflow routes through
           the counter's own scalar path, so jitter redraw, delivery
           filtering and handler dispatch are exact.  Before a handler
-          runs, every channel's count, ``stats.acts`` and the per-domain
-          histogram are synchronised, and every hoisted value is re-read
-          afterwards because handlers may re-enter the controller
-          (targeted refreshes, uncore moves, counter reconfiguration);
-        * ``settled`` comes from marking the tracker and the deferred
-          columns at each round boundary and reading each flushed
-          flip's position.
+          or an action runs, every channel's count, ``stats.acts`` and
+          the per-domain histogram are synchronised, and every hoisted
+          value is re-read afterwards because either may re-enter the
+          controller (targeted refreshes, uncore moves, refresh loads,
+          counter reconfiguration).
+
+        ``settled`` comes from marking the tracker and the deferred
+        columns at each round boundary and reading each flushed flip's
+        position.
 
         In-DRAM mitigations (:attr:`DramDevice.mitigation`) stay inline
         per ACT: their tables are only *read* at refresh bursts, which
@@ -614,6 +604,9 @@ class MemoryController:
         tRCD = timings.tRCD
         bus = self._bus_busy_until
         gates = self._act_gates
+        # the live list: an observer a handler or an action subscribes
+        # sees the very next ACT it would see on submit
+        observers = self._act_observers
         closed = self.page_policy == "closed"
         refresh_enabled = self.refresh_enabled
         stats = self.stats
@@ -627,35 +620,30 @@ class MemoryController:
         domain_key = -1 if domain is None else domain
 
         # Deferred ACT columns, flushed together: logical address,
-        # internal row (remapped configs only), flat bank id, ACT
-        # completion time for the tracker, request completion time for
-        # observers.
+        # internal row (remapped configs only), ACT completion time.
         act_addr: List[DdrAddress] = []
         act_row: List[int] = []
-        act_bid: List[int] = []
         act_t: List[int] = []
-        act_done: List[int] = []
-        have_observers = bool(self._act_observers)
-        # ``watch``: some handler may run inside the chain, so flips are
-        # attributed to rounds: ``settled`` is the tracker flip count
-        # that earlier rounds account for and ``round_acts`` the
-        # deferred ACTs of earlier rounds not yet flushed.
-        watch = any(k._handlers for k in counters.values())
+        # ``watch``: some handler or action may run inside the chain, so
+        # flips are attributed to rounds: ``settled`` is the tracker
+        # flip count that earlier rounds account for and ``round_acts``
+        # the deferred ACTs of earlier rounds not yet flushed.
+        watch = bool(observers) or any(
+            k._handlers for k in counters.values()
+        )
         settled = round_acts = 0
 
         def flush_events() -> None:
-            nonlocal act_addr, act_row, act_bid, act_t, act_done
-            nonlocal settled, round_acts
+            nonlocal act_addr, act_row, act_t, settled, round_acts
             if not act_t:
                 return
             act_dom = [domain] * len(act_t)
-            # Rows and flat bank ids ride along as plain int columns so
-            # the tracker's kernels skip their attribute walks.
+            # Rows ride along as a plain int column so the tracker's
+            # loop skips the remap lookup.
             if watch:
                 flip_positions: List[int] = []
                 tracker.on_activate_bulk(
-                    act_addr, act_t, act_dom,
-                    rows=act_row, bank_ids=act_bid,
+                    act_addr, act_t, act_dom, rows=act_row,
                     out_positions=flip_positions,
                 )
                 if round_acts:
@@ -665,29 +653,11 @@ class MemoryController:
                     round_acts = 0
             else:
                 tracker.on_activate_bulk(
-                    act_addr, act_t, act_dom,
-                    rows=act_row, bank_ids=act_bid,
+                    act_addr, act_t, act_dom, rows=act_row
                 )
-            if have_observers:
-                observers = self._act_observers
-                observer_bulk = self._act_observer_bulk
-                for index in range(len(observers)):
-                    bulk = observer_bulk[index]
-                    if bulk is not None:
-                        bulk(act_addr, act_done, act_dom)
-                    else:
-                        # A scalar-only observer appeared mid-chain (an
-                        # interrupt handler installed it): replay in
-                        # order rather than crash; the next chain call
-                        # is refused by supports_chain.
-                        scalar = observers[index]
-                        for k in range(len(act_done)):
-                            scalar(act_addr[k], act_done[k], domain, False)
             act_addr = []
             act_row = []
-            act_bid = []
             act_t = []
-            act_done = []
 
         # Hoisted per-channel counter state; pending = ACTs counted
         # locally but not yet settled into the counter object.
@@ -705,8 +675,11 @@ class MemoryController:
         serviced = n
         stop = False
 
-        def sync_acts() -> None:
+        def settle() -> None:
+            """Make the tracker, ``stats.acts`` and every counter exact
+            (before a handler or an action runs, and at the end)."""
             nonlocal acts_delta
+            flush_events()
             if acts_delta:
                 stats.acts += acts_delta
                 histogram = stats.acts_by_domain
@@ -714,6 +687,16 @@ class MemoryController:
                     histogram.get(domain_key, 0) + acts_delta
                 )
                 acts_delta = 0
+            for channel, pending in ch_pending.items():
+                if pending:
+                    counters[channel].absorb(pending)
+                    ch_pending[channel] = 0
+
+        def reread_counters() -> None:
+            """Handlers and actions may reconfigure the counters."""
+            for channel, counter in counters.items():
+                ch_count[channel] = counter._count
+                ch_next[channel] = counter._next_overflow_at
 
         for i in range(n):
             if i == round_end:
@@ -786,7 +769,6 @@ class MemoryController:
                 act_row.append(
                     row if identity_remap else to_internal(bank_ids[i], row)
                 )
-                act_bid.append(bank_ids[i])
                 act_t.append(data_at_bank)
             bus_free = bus[channel]
             transfer_start = (
@@ -797,7 +779,6 @@ class MemoryController:
             if closed:
                 bank.precharge(data_at_bank)
             if will_act:
-                act_done.append(done)
                 acts_delta += 1
                 count = ch_count[channel] + 1
                 pending = ch_pending[channel] + 1
@@ -808,15 +789,9 @@ class MemoryController:
                     # Overflow: make every piece of architectural state
                     # exact, then let the counter's own scalar path fire
                     # the interrupt machinery.
-                    flush_events()
-                    sync_acts()
-                    for other, other_pending in ch_pending.items():
-                        if other != channel and other_pending:
-                            counters[other].absorb(other_pending)
-                            ch_pending[other] = 0
+                    ch_pending[channel] = pending - 1
+                    settle()
                     counter = counters[channel]
-                    counter.absorb(pending - 1)
-                    ch_pending[channel] = 0
                     bracket = watch and bool(counter._handlers)
                     if bracket:
                         before(i, settled)
@@ -824,12 +799,19 @@ class MemoryController:
                     # Handlers may have re-entered the controller:
                     # re-read everything hoisted.
                     next_ref = self._next_ref_at
-                    for other, other_counter in counters.items():
-                        ch_count[other] = other_counter._count
-                        ch_next[other] = other_counter._next_overflow_at
-                    have_observers = bool(self._act_observers)
+                    reread_counters()
                     if bracket and not after():
                         stop = True
+                for observer in observers:
+                    action = observer(address, done, domain, False)
+                    if action is not None:
+                        settle()
+                        before(i, settled)
+                        action()
+                        next_ref = self._next_ref_at
+                        reread_counters()
+                        if not after():
+                            stop = True
 
             latency_ns += done - time_ns
             if done > busy_until:
@@ -839,17 +821,15 @@ class MemoryController:
                 serviced = i + 1
                 break
 
-        flush_events()
-        sync_acts()
-        for channel, pending in ch_pending.items():
-            if pending:
-                counters[channel].absorb(pending)
+        settle()
         stats.reads += serviced
         stats.row_hits += hits
         stats.row_misses += misses
         stats.row_conflicts += conflicts
         stats.total_request_latency_ns += latency_ns
-        stats.busy_until_ns = busy_until
+        # handlers and actions may have retired requests of their own
+        if busy_until > stats.busy_until_ns:
+            stats.busy_until_ns = busy_until
         return serviced, clock
 
     def advance_to(self, now: int) -> None:
@@ -902,7 +882,9 @@ class MemoryController:
                 row=[address.channel, address.rank, address.bank, address.row],
             )
         for observer in self._act_observers:
-            observer(address, ready, None, False)
+            action = observer(address, ready, None, False)
+            if action is not None:
+                action()
         return ready
 
     def ref_neighbors_line(
@@ -987,7 +969,9 @@ class MemoryController:
                 dma=interrupt.from_dma,
             )
         for observer in self._act_observers:
-            observer(address, time_ns, domain, is_dma)
+            action = observer(address, time_ns, domain, is_dma)
+            if action is not None:
+                action()
 
     def _trace_access(
         self,

@@ -49,12 +49,8 @@ def random_uniform(handle_lines: int, rng: random.Random) -> Iterator[Access]:
     """Uniform random reads; 1 in 4 is a write.
 
     The line draw is ``int(rng.random() * n)`` rather than
-    ``rng.randrange(n)``: ``randrange`` rejection-samples ``getrandbits``
-    (data-dependent raw-word consumption, up to 50% rejected draws),
-    which no fixed-width vector kernel can reproduce — while ``random()``
-    consumes exactly two Twister words, so
-    :func:`repro.workloads.bulk.uniform_block` can draw the same stream
-    in bulk.
+    ``rng.randrange(n)``: the two consume the Twister stream
+    differently, and EXPERIMENTS.md's random-workload rows pin this one.
     """
     while True:
         line = int(rng.random() * handle_lines)
@@ -77,9 +73,8 @@ def pointer_chase(handle_lines: int, rng: random.Random) -> Iterator[Access]:
 def zipfian(handle_lines: int, rng: random.Random) -> Iterator[Access]:
     """Zipf-skewed accesses (80/20-ish), 1 in 3 writes on hot lines."""
     # Approximate Zipf by exponentiating a uniform draw.  Written as
-    # ``u * u * u`` (not ``u ** 3``): repeated IEEE multiplication is the
-    # one cubing that numpy reproduces bit-for-bit, so a vectorized
-    # version of this draw truncates to the same line.
+    # ``u * u * u``: ``u ** 3`` may round differently, and the lines
+    # this draw truncates to are pinned by EXPERIMENTS.md.
     while True:
         u = rng.random()
         line = int(handle_lines * (u * u * u))  # heavy head at low lines

@@ -2,7 +2,8 @@
 
 ``Attacker.run``, ``Attacker.run_rounds`` and ``EvasiveAttacker.run``
 hand resident stretches of their hammer loops to the controller's bulk
-engine, where host-OS interrupt handlers run in place.  The oracles
+engine, where host-OS interrupt handlers and the actions of ACT
+observers run in place.  The oracles
 below are the per-access loops: for ``Attacker``, one ``Attacker.step``
 (a ``_hammer_round``) per round, flips drained after each; for the
 evader, its schedule one ``hammer_access`` at a time.  Every case
@@ -39,7 +40,9 @@ from repro.core.primitives import PrimitiveSet
 from repro.defenses import (
     ALL_DEFENSES,
     AggressorRemapDefense,
+    BreakHammerDefense,
     CacheLineLockingDefense,
+    ParaDefense,
     TargetedRefreshDefense,
 )
 from repro.defenses.registry import build_overrides
@@ -181,8 +184,9 @@ def snapshot(system, result, defenses):
 @dataclass
 class ChainCall:
     """One ``submit_chain`` call: its reads, round length, reads
-    serviced, the reads whose ACT ran handlers inside it, and for each
-    of those how many flips of earlier rounds were still undrained."""
+    serviced, the reads whose ACT ran handlers or an observer's action
+    inside it, and for each of those how many flips of earlier rounds
+    were still undrained."""
 
     reads: int
     round_len: int
@@ -228,8 +232,8 @@ class ChainSpy:
 
     @property
     def handled(self):
-        """``(call, read)`` for every read whose ACT ran handlers
-        inside a chain."""
+        """``(call, read)`` for every read whose ACT ran handlers or an
+        action inside a chain."""
         return [
             (call, index) for call in self.calls for index in call.handled
         ]
@@ -298,10 +302,8 @@ def test_every_defense_matches_the_oracle(cls, pattern):
     )
     if not plan.viable:
         assert fast["iterations"] == 0
-    elif cls is None or cls.supports_bulk_acts:
-        assert spy.calls, "the chain never engaged"
     else:
-        assert not spy.calls, "a scalar-only observer rode the chain"
+        assert spy.calls, "the chain never engaged"
 
 
 def test_a1_park_without_rotation():
@@ -460,6 +462,92 @@ def test_traced_run_stays_per_access():
     )
     assert not spy.calls
     assert fast["iterations"] > 0
+
+
+def test_breakhammer_scores_para_inside_the_chain():
+    """BreakHammer over PARA: the gate, inline on every ACT, reads the
+    neighbour refreshes PARA's actions count, so an action run late or
+    early inside the chain moves blame, throttling and timing."""
+    spy, _, fast = compare(
+        legacy_platform(scale=64),
+        lambda: [BreakHammerDefense(base=ParaDefense())],
+        pattern="many-sided",
+    )
+    assert spy.handled
+    assert fast["defenses"][0]["mitigations_attributed"] > 0
+
+
+def test_handler_ends_the_chain_at_an_act_para_sees():
+    """Aggressor-remap moves the page at an overflow and the chain ends
+    at that ACT; PARA must still see it (its random stream advances
+    once per ACT, on the chain as on ``submit``)."""
+    config = legacy_platform(scale=64).with_primitives(
+        PrimitiveSet.proposed()
+    )
+    spy, _, fast = compare(
+        config, lambda: [AggressorRemapDefense(), ParaDefense()],
+    )
+    assert spy.cut_short
+    assert fast["defenses"][0]["pages_moved"] > 0
+    assert fast["defenses"][1]["neighbor_refreshes"] > 0
+
+
+@pytest.mark.parametrize("forgives", [False, True],
+                         ids=["reconfig-storm", "reconfig-storm-forgiving"])
+def test_reconfiguration_storm(forgives):
+    """The fault plane's storm re-draws every channel's overflow point
+    (and, forgiving, zeroes the count) every 7 ACTs from inside the
+    chain, between the targeted-refresh handler's interrupts."""
+    faults = FaultConfig(
+        seed=17, reconfig_every_acts=7, reconfig_forgives=forgives,
+    )
+    config = legacy_platform(scale=64, faults=faults).with_primitives(
+        PrimitiveSet.proposed()
+    )
+    spy, _, fast = compare(config, lambda: [TargetedRefreshDefense()],
+                           pattern="many-sided")
+    assert len(spy.handled) > 100
+    assert fast["faults"]["reconfig_storms"] > 100
+    assert (fast["defenses"][0].get("interrupts", 0) > 0) != forgives
+
+
+def test_observer_subscribed_mid_chain():
+    """An interrupt handler subscribes an ACT observer at its first
+    interrupt, inside a chain.  The observer sees every ACT from that
+    one on, as on ``submit``; every 16th returns an action that reads
+    what an action may touch: the CPU counters, the drained flips and
+    the tracker's pressure next to the ACT's row."""
+    config = legacy_platform(scale=64).with_primitives(
+        PrimitiveSet.proposed()
+    )
+
+    def probe(scenario):
+        system = scenario.system
+        tracker = system.device.tracker
+        seen = []
+
+        def observer(address, now, domain, is_dma):
+            seen.append((address.row_key(), now, domain, is_dma))
+            if len(seen) % 16:
+                return None
+            channel, rank, bank, row = address.row_key()
+            return lambda: seen.append((
+                system.core.loads, system._flip_cursor, len(tracker.flips),
+                tracker.pressure_of((channel, rank, bank, row - 1)),
+                tracker.pressure_of((channel, rank, bank, row + 1)),
+            ))
+
+        def subscribe(interrupt):
+            if not seen:
+                system.controller.add_act_observer(observer)
+
+        system.controller.subscribe_interrupts(subscribe)
+        return seen
+
+    spy, _, fast = compare(config, lambda: [TargetedRefreshDefense()],
+                           probe=probe)
+    assert spy.calls[0].handled
+    assert len(fast["probe"]) > 1000
 
 
 def test_dropped_and_delayed_interrupts():

@@ -4,9 +4,10 @@ Every defense in ``ALL_DEFENSES``, on every platform preset that can
 host it, must leave ``RunMetrics`` bit-identical whether a dependent
 stream of reads is serviced by the controller's bulk engine
 (:meth:`~repro.mc.controller.MemoryController.submit_chain`, whose
-per-ACT side effects run in column space through
-``DisturbanceTracker.on_activate_bulk`` and each defense's bulk twin)
-or one :meth:`~repro.mc.controller.MemoryController.submit` at a time.
+disturbance accrual runs in column space through
+``DisturbanceTracker.on_activate_bulk`` and whose ACT observers run
+inline, their actions at settled points) or one
+:meth:`~repro.mc.controller.MemoryController.submit` at a time.
 ``submit`` stays the oracle: the bulk leg is the one under test.
 
 The stream is a zipfian workload's lines, not a hammer loop, so one
@@ -14,9 +15,7 @@ engine call sees many distinct lines, banks and channels, and row
 hits, misses and conflicts mixed — shapes the attack loops of
 ``tests/attacks/test_chain_differential.py`` do not produce.
 
-A defense whose ACT hook is scalar-only (``supports_bulk_acts`` false)
-must keep every caller off the engine: ``supports_chain`` turns false
-when it attaches, and only then.
+Attaching a defense never turns ``supports_chain`` off.
 """
 
 import dataclasses
@@ -126,12 +125,8 @@ def _run(platform, defense_cls, bulk):
     ],
 )
 def test_bulk_metrics_equal_scalar_oracle(defense_cls, platform):
-    system, _, _, defense = _build(platform, defense_cls)
-    assert system.controller.supports_chain == defense.supports_bulk_acts
-    if not defense.supports_bulk_acts:
-        # Scalar-only observers must see every ACT in order, which only
-        # submit gives them; the check above keeps callers off the chain.
-        return
+    system, _, _, _ = _build(platform, defense_cls)
+    assert system.controller.supports_chain
     bulk = _run(platform, defense_cls, True)
     reference = _run(platform, defense_cls, False)
     assert bulk == reference

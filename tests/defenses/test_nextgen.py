@@ -134,11 +134,6 @@ class TestBreakHammer:
         names = [d.name for d in scenario.system.defenses]
         assert "prac" in names and "breakhammer" in names
 
-    def test_scalar_only_base_demotes_composite(self):
-        composite = BreakHammerDefense(base=ParaDefense())
-        assert composite.supports_bulk_acts is False
-        assert BreakHammerDefense().supports_bulk_acts is True
-
     def test_rejects_signal_free_base(self):
         """A base with no mitigation_counters gives BreakHammer nothing
         to score, and must be refused up front."""

@@ -158,9 +158,12 @@ class TestInjectors:
             counter.on_act(time_ns=10, physical_line=0, from_dma=False)
             counter.on_act(time_ns=20, physical_line=0, from_dma=False)
             assert counter.pending[0] == 2
-            system.faults._on_act_reconfig(
+            action = system.faults._on_act_reconfig(
                 DdrAddress(0, 0, 0, 1, 0), 30, None, False
             )
+            # the observer only decides; its action reconfigures
+            assert system.faults.counters["reconfig_storms"] == 0
+            action()
             expected = 0 if forgiving else 2
             assert counter.pending[0] == expected
             assert system.faults.counters["reconfig_storms"] == 1

@@ -71,16 +71,6 @@ def test_e4_core_matrix_and_tracker_column():
     assert rows["none"]["peak_rows_tracked"] == "-"
 
 
-def test_e5_density_scaling_subset():
-    from repro.analysis import run_e5
-
-    outcome = run_e5(generations=("ddr3-new", "future"))
-    # a two-point subset cannot check the full trend's endpoints the
-    # same way, but the software column must stay clean and the cost
-    # figure must grow
-    assert "software 0 flips" in outcome.verdict_detail or outcome.verdict
-
-
 def test_e8_frequency_defenses():
     from repro.analysis import run_e8
 

@@ -1,11 +1,12 @@
 """Property suite pinning ``on_activate_bulk`` to the scalar oracle.
 
-The bulk kernel must be a drop-in for per-ACT ``on_activate``: same
-pressures, same tripped set, same flips in the same order, and the same
-RNG stream afterwards (so downstream draws stay aligned).  The
-strategies lean on subarray-edge rows deliberately — the blast-radius
-clamping at subarray boundaries is exactly where a vectorized
-neighbourhood is easiest to get wrong (PR 3 regression).
+The fused loop the hammer chain flushes its deferred ACTs through must
+be a drop-in for per-ACT ``on_activate``: same pressures, same tripped
+set, same flips in the same order, and the same RNG stream afterwards
+(so downstream draws stay aligned).  The strategies lean on
+subarray-edge rows deliberately — the blast-radius clamping at
+subarray boundaries is exactly where a hoisted neighbourhood walk is
+easiest to get wrong.
 """
 
 import random
@@ -13,7 +14,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dram.disturbance as disturbance_mod
 from repro.dram.disturbance import DisturbanceProfile, DisturbanceTracker
 from repro.dram.geometry import DdrAddress, DramGeometry
 
@@ -114,29 +114,10 @@ def _assert_equivalent(reference, bulk):
 @settings(max_examples=80, deadline=None)
 def test_bulk_matches_scalar_flip_for_flip(case):
     geometry, profile, sequence, chunk = case
-    saved = disturbance_mod._BULK_MIN_ACTS
-    disturbance_mod._BULK_MIN_ACTS = 1  # force the numpy kernel
-    try:
-        bulk = _bulk_leg(geometry, profile, sequence, chunk)
-    finally:
-        disturbance_mod._BULK_MIN_ACTS = saved
-    _assert_equivalent(_scalar_leg(geometry, profile, sequence), bulk)
-
-
-@given(case=bulk_case())
-@settings(max_examples=25, deadline=None)
-def test_small_batch_scalar_twin_matches(case):
-    """Below the numpy cutoff the bulk API runs its scalar twin; the
-    equivalence must hold there too (it is the path numpy-less installs
-    always take)."""
-    geometry, profile, sequence, chunk = case
-    saved = disturbance_mod._BULK_MIN_ACTS
-    disturbance_mod._BULK_MIN_ACTS = 10 ** 9  # force the scalar twin
-    try:
-        bulk = _bulk_leg(geometry, profile, sequence, chunk)
-    finally:
-        disturbance_mod._BULK_MIN_ACTS = saved
-    _assert_equivalent(_scalar_leg(geometry, profile, sequence), bulk)
+    _assert_equivalent(
+        _scalar_leg(geometry, profile, sequence),
+        _bulk_leg(geometry, profile, sequence, chunk),
+    )
 
 
 def test_rows_override_matches_scalar_on_remapped_rows():
@@ -151,18 +132,13 @@ def test_rows_override_matches_scalar_on_remapped_rows():
     for step, row in enumerate(internal):
         reference.on_activate(DdrAddress(0, 0, 0, row, 0), step, 1)
 
-    saved = disturbance_mod._BULK_MIN_ACTS
-    disturbance_mod._BULK_MIN_ACTS = 1
-    try:
-        bulk = _make_tracker(geometry, profile)
-        bulk.on_activate_bulk(
-            [DdrAddress(0, 0, 0, row, 0) for row in logical],
-            list(range(len(logical))),
-            [1] * len(logical),
-            rows=internal,
-        )
-    finally:
-        disturbance_mod._BULK_MIN_ACTS = saved
+    bulk = _make_tracker(geometry, profile)
+    bulk.on_activate_bulk(
+        [DdrAddress(0, 0, 0, row, 0) for row in logical],
+        list(range(len(logical))),
+        [1] * len(logical),
+        rows=internal,
+    )
     assert bulk.flips == reference.flips
     assert bulk._pressure == reference._pressure
     assert bulk._tripped == reference._tripped
@@ -178,12 +154,7 @@ def test_subarray_edge_rows_never_leak_pressure():
     edge_rows = [0, rows_per_subarray - 1, rows_per_subarray,
                  geometry.rows_per_bank - 1]
     sequence = [(0, 0, 0, row, None) for row in edge_rows * 6]
-    saved = disturbance_mod._BULK_MIN_ACTS
-    disturbance_mod._BULK_MIN_ACTS = 1
-    try:
-        bulk = _bulk_leg(geometry, profile, sequence, chunk=7)
-    finally:
-        disturbance_mod._BULK_MIN_ACTS = saved
+    bulk = _bulk_leg(geometry, profile, sequence, chunk=7)
     _assert_equivalent(_scalar_leg(geometry, profile, sequence), bulk)
     tracker = bulk[0]
     for (_, _, _, victim_row), _pressure in tracker.iter_pressure():

@@ -58,3 +58,27 @@ def test_classification_never_lies_about_correction(data, flips):
 def test_triple_flips_never_classified_corrected(data, flips):
     outcome = classify_flips(data, sorted(flips))
     assert outcome in (EccOutcome.DETECTED, EccOutcome.SILENT)
+
+
+def _classify_by_decoding(data, bit_indices):
+    """The oracle: encode, flip, decode and compare against ground
+    truth."""
+    word = encode(data)
+    for bit in bit_indices:
+        word ^= 1 << bit
+    result = decode(word)
+    if result.outcome is EccOutcome.DETECTED:
+        return EccOutcome.DETECTED
+    if result.data == data:
+        return EccOutcome.CLEAN if not bit_indices else EccOutcome.CORRECTED
+    return EccOutcome.SILENT
+
+
+@given(data=words, flips=st.lists(bits, min_size=0, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_classification_equals_decoding_oracle(data, flips):
+    """``classify_flips`` classifies the error pattern alone; for any
+    data word and any flipped bits (repeats cancel) it must agree with
+    decoding the flipped codeword.  E15 only ever encodes 0, so its
+    table cannot catch a data-dependent slip here."""
+    assert classify_flips(data, flips) is _classify_by_decoding(data, flips)
