@@ -120,6 +120,36 @@ def test_bulk_matches_scalar_flip_for_flip(case):
     )
 
 
+@given(case=bulk_case(), chunk=st.integers(min_value=1, max_value=4))
+@settings(max_examples=25, deadline=None)
+def test_small_batch_scalar_twin_matches(case, chunk):
+    """Batches of one to four ACTs — what the chain flushes when an
+    observer or handler settles nearly every ACT — must match the
+    scalar oracle too, and ``out_positions`` must name the causing ACT
+    of each returned flip."""
+    geometry, profile, sequence, _ = case
+    reference = _scalar_leg(geometry, profile, sequence)
+    tracker = _make_tracker(geometry, profile)
+    flips = []
+    causes = []
+    for start in range(0, len(sequence), chunk):
+        part = sequence[start:start + chunk]
+        positions = []
+        batch = tracker.on_activate_bulk(
+            [DdrAddress(c, r, b, row, 0) for c, r, b, row, _ in part],
+            [10 * (start + offset) for offset in range(len(part))],
+            [entry[4] for entry in part],
+            out_positions=positions,
+        )
+        assert len(positions) == len(batch)
+        flips.extend(batch)
+        causes.extend(start + position for position in positions)
+    _assert_equivalent(reference, (tracker, flips))
+    for flip, cause in zip(flips, causes):
+        assert flip.time_ns == 10 * cause
+        assert flip.aggressor == sequence[cause][:4]
+
+
 def test_rows_override_matches_scalar_on_remapped_rows():
     """The ``rows=`` override (the device's remap path) must behave as
     if the addresses had carried the internal rows all along."""
