@@ -201,8 +201,8 @@ def main():
     s4_4_enclaves()
     s5_outlook()
     print()
-    print("Full evaluation: pytest benchmarks/ --benchmark-only "
-          "(E1–E15 + ablations); details in EXPERIMENTS.md.")
+    print("Full evaluation: python -m repro report (E1–E15, ablations "
+          "and validations, re-rendered into EXPERIMENTS.md).")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ and ASCII table/series rendering."""
 
 from repro.analysis.ablations import ABLATIONS
 from repro.analysis.validation import VALIDATIONS, run_v1, run_v2
-from repro.analysis.report import generate_report
 from repro.analysis.stats import (
     Aggregate,
     aggregate,
@@ -14,13 +13,10 @@ from repro.analysis.parallel import (
     AttackReplicationSpec,
     BenignReplicationSpec,
     EvasionReplicationSpec,
-    replicate_parallel,
-    run_replications,
 )
 from repro.analysis.experiments import (
     EXPERIMENTS,
     ExperimentOutcome,
-    run_all,
     run_e1,
     run_e2,
     run_e3,
@@ -52,13 +48,10 @@ __all__ = [
     "run_v1",
     "run_v2",
     "EXPERIMENTS",
-    "generate_report",
     "Aggregate",
     "aggregate",
     "merge_replications",
     "replicate",
-    "replicate_parallel",
-    "run_replications",
     "AttackReplicationSpec",
     "BenignReplicationSpec",
     "EvasionReplicationSpec",
@@ -67,7 +60,6 @@ __all__ = [
     "Table",
     "build_scenario",
     "render_series",
-    "run_all",
     "run_attack",
     "run_attack_under_noise",
     "run_benign",

@@ -17,8 +17,8 @@ A4 — row-buffer page policy: open-page absorbs one-location hammering
 A5 — interrupt threshold: the detection-latency vs. refresh-overhead
      trade-off of the targeted-refresh defense.
 
-Each returns an :class:`ExperimentOutcome` (ids A1..A5) so benchmarks,
-the CLI, and reports treat them like the E-series.
+Each returns an :class:`ExperimentOutcome` (ids A1..A5) so the CLI and
+EXPERIMENTS.md treat them like the E-series.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Content-addressed on-disk cache of per-seed replication results.
 
-Every replication in this harness is a pure function of its spec and
-seed (that is what makes parallel fan-out and journaled resume
-bit-identical), which makes results *content-addressable*: the cache key
-is a digest of the spec signature, the seed, and a cache schema version,
-so any change to the scenario parameters — or to the simulation
-semantics, via a schema bump — produces a different key rather than a
-stale hit.
+Every replication in this harness is a pure function of its spec, its
+seed and the simulator's code (that is what makes parallel fan-out and
+journaled resume bit-identical), which makes results
+*content-addressable*: the cache key is a digest of the spec signature,
+the seed, and :func:`source_digest` — a digest of the ``repro``
+package's source — so any change to the scenario parameters or to any
+line of the simulator produces a different key rather than a stale hit.
+Entries written by other code are never read again; ``repro cache
+prune`` reclaims them.
 
 Entries are single JSON files written atomically (temp file +
 ``os.replace``), so concurrent pool workers and concurrent campaigns may
@@ -22,18 +24,13 @@ What is *not* cacheable:
   which embeds memory addresses — never a stable key);
 * specs that declare ``cacheable = False`` — wrappers whose behaviour
   is not a pure function of ``(spec, seed)``, e.g. the crash-injection
-  specs with wall-clock hangs and marker files, or the traced specs
-  whose whole point is the side-effect trace file.
-
-Schema-bump policy: increment :data:`CACHE_SCHEMA_VERSION` whenever a
-change alters what any spec returns for some seed (simulation-semantics
-changes, new result fields, field renames).  Old entries then miss
-instead of serving stale results; ``repro cache prune`` reclaims them.
+  specs with wall-clock hangs and marker files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -41,12 +38,12 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.runtime.journal import spec_signature
 
-#: bump when simulation semantics change (see module docstring)
-CACHE_SCHEMA_VERSION = 1
+#: root of the ``repro`` package, whose source keys every entry
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 #: environment variable overriding the default cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -79,11 +76,27 @@ def is_cacheable(spec: object) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the sorted relative paths and the bytes of every
+    ``.py`` file of the ``repro`` package (computed once per process)."""
+    digest = hashlib.sha256()
+    files = sorted(
+        (path.relative_to(PACKAGE_ROOT).as_posix(), path)
+        for path in PACKAGE_ROOT.rglob("*.py")
+    )
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def result_key(spec: object, seed: int) -> str:
     """Content address of one ``(spec, seed)`` result."""
     payload = json.dumps(
         {
-            "schema": CACHE_SCHEMA_VERSION,
+            "source": source_digest(),
             "spec": spec_signature(spec),
             "seed": int(seed),
         },
@@ -109,8 +122,8 @@ class ResultCache:
 
     ``hits``/``misses`` count this instance's lookups (they feed the
     ``runtime.cache_hit``/``runtime.cache_miss`` metrics when a campaign
-    owns the cache); the on-disk store itself is shared and unversioned
-    beyond the schema field inside each entry.
+    owns the cache); the on-disk store itself is shared by every
+    version of the code, each under its own keys.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -131,8 +144,8 @@ class ResultCache:
     ) -> Optional[Dict[str, object]]:
         """The cached result of ``spec(seed)``, or ``None``.
 
-        A corrupt or schema-mismatched entry reads as a miss — the
-        caller recomputes and overwrites it.
+        A corrupt entry reads as a miss — the caller recomputes and
+        overwrites it.
         """
         path = self.path_for(result_key(spec, seed))
         try:
@@ -140,10 +153,8 @@ class ResultCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != CACHE_SCHEMA_VERSION
-            or not isinstance(payload.get("result"), dict)
+        if not isinstance(payload, dict) or not isinstance(
+            payload.get("result"), dict
         ):
             self.misses += 1
             return None
@@ -158,7 +169,7 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "schema": CACHE_SCHEMA_VERSION,
+            "source": source_digest(),
             "key": key,
             "spec": spec_signature(spec),
             "seed": int(seed),
@@ -179,39 +190,6 @@ class ResultCache:
                 pass
             raise
         return path
-
-    def fetch_or_run(
-        self,
-        spec: object,
-        seeds: Sequence[int],
-        runner: Callable[[List[int]], Sequence[Mapping[str, object]]],
-    ) -> List[Mapping[str, object]]:
-        """Serve every seed from the cache, running only the misses.
-
-        ``runner(missing_seeds)`` must return one result per missing
-        seed, in order; fresh results are stored before returning.  The
-        returned list is in ``seeds`` order regardless of the hit/miss
-        split, so folding it is bit-identical to an uncached run.
-        """
-        held: Dict[int, Mapping[str, object]] = {}
-        missing: List[int] = []
-        for seed in seeds:
-            cached = self.get(spec, seed)
-            if cached is None:
-                missing.append(seed)
-            else:
-                held[seed] = cached
-        if missing:
-            fresh = runner(missing)
-            if len(fresh) != len(missing):
-                raise ValueError(
-                    f"runner returned {len(fresh)} results "
-                    f"for {len(missing)} seeds"
-                )
-            for seed, result in zip(missing, fresh):
-                self.put(spec, seed, result)
-                held[seed] = result
-        return [held[seed] for seed in seeds]
 
     def counters(self) -> Dict[str, int]:
         """Runtime hit/miss counters of this instance."""
@@ -249,7 +227,7 @@ class ResultCache:
             "root": str(self.root),
             "entries": len(entries),
             "bytes": sum(entry.bytes for entry in entries),
-            "schema": CACHE_SCHEMA_VERSION,
+            "source": source_digest(),
         }
 
     def prune(
@@ -261,8 +239,8 @@ class ResultCache:
 
         ``older_than_s`` removes entries older than that many seconds;
         ``max_entries`` then keeps only the newest N.  Unreadable files
-        under the root (corrupt or stale-schema debris) are removed
-        unconditionally — they can never hit.
+        under the root (corrupt debris) are removed unconditionally —
+        they can never hit.
         """
         removed = 0
         if not self.root.exists():

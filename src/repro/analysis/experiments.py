@@ -5,8 +5,8 @@ The paper is a position paper; its evaluation is deferred to future work
 defenses in future work").  This module *is* that evaluation, scoped to
 a behavioural simulator.  Each ``run_eN`` function returns an
 :class:`ExperimentOutcome` holding the claim under test, the measured
-tables/series, and a boolean verdict; benchmarks and EXPERIMENTS.md are
-generated from these.
+tables/series, and a boolean verdict; ``repro run`` prints it and
+``repro report`` renders it into EXPERIMENTS.md.
 
 See DESIGN.md §3 for the experiment index, including which paper
 section/artefact each experiment reproduces.
@@ -1505,9 +1505,3 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentOutcome]] = {
     "E15": run_e15,
 }
 
-
-def run_all(scale: Optional[int] = None) -> List[ExperimentOutcome]:
-    """Run the full suite (several minutes of simulation), each
-    experiment at its own default scale unless ``scale`` is given."""
-    kwargs = {} if scale is None else {"scale": scale}
-    return [run(**kwargs) for run in EXPERIMENTS.values()]

@@ -1,12 +1,11 @@
-"""Process-parallel seeded replications.
+"""Seeded replication specs and the worker-count helpers.
 
 Every replication in :func:`repro.analysis.stats.replicate` owns its
-seed: runs share no mutable state, so they can fan out across a
-:class:`concurrent.futures.ProcessPoolExecutor` and be merged back in
-seed order to produce results *bit-identical* to the serial path.  The
-worker count comes from (highest priority first) an explicit ``jobs``
-argument, the ``REPRO_JOBS`` environment variable, then the host CPU
-count.
+seed: runs share no mutable state, so :func:`repro.runtime.run_campaign`
+can fan them out across worker processes and merge them back in seed
+order, bit-identical to the serial path.  The worker count comes from
+(highest priority first) an explicit ``jobs`` argument, the
+``REPRO_JOBS`` environment variable, then the host CPU count.
 
 Scenario callables crossing a process boundary must be picklable, which
 closures (e.g. ``stats.attack_observables``) are not.  The spec classes
@@ -20,19 +19,10 @@ run.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.analysis.stats import (
-    Aggregate,
-    Number,
-    ScenarioFn,
-    merge_replications,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.cache import ResultCache
+from repro.analysis.stats import Number, ScenarioFn
 
 #: environment variable controlling the default worker count
 JOBS_ENV = "REPRO_JOBS"
@@ -67,92 +57,11 @@ def effective_workers(jobs: int, task_count: int) -> int:
     """Clamp the worker count to the work available.
 
     Spawning a worker costs a fork plus interpreter warm-up, so a tiny
-    campaign must never pay for more processes than it has seeds.  Both
-    the plain pool below and the :mod:`repro.runtime` supervisor size
-    their pools through this one function.
+    campaign must never pay for more processes than it has seeds.  The
+    :mod:`repro.runtime` supervisor and ``repro replicate``'s report
+    of the worker count both go through this one function.
     """
     return max(1, min(jobs, task_count))
-
-
-def run_replications(
-    scenario: ScenarioFn,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: Optional["ResultCache"] = None,
-) -> List[Mapping[str, Number]]:
-    """Run ``scenario(seed)`` for every seed, possibly across processes.
-
-    The result list is always in seed order (``executor.map`` preserves
-    input order), so the output is bit-identical to the serial
-    ``[scenario(seed) for seed in seeds]`` no matter how many workers
-    ran it.  With one worker (or one seed) the pool is skipped entirely.
-
-    With a ``cache``, hits are resolved in the parent before the pool
-    spins up and only missing seeds are dispatched to workers; fresh
-    results are stored on the way out.  The cache lookup happens here —
-    not in the workers — so a fully warm campaign forks no processes at
-    all.  Specs the cache refuses (see
-    :func:`repro.analysis.cache.is_cacheable`) run exactly as before.
-
-    This is the *fast path*: one crash anywhere discards every seed.
-    Long campaigns should run through :func:`replicate_resilient` (or
-    :func:`repro.runtime.run_campaign` directly) instead.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-
-    def run_fresh(wanted: Sequence[int]) -> List[Mapping[str, Number]]:
-        workers = effective_workers(resolve_jobs(jobs), len(wanted))
-        if workers <= 1:
-            return [scenario(seed) for seed in wanted]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(scenario, wanted))
-
-    if cache is not None:
-        from repro.analysis.cache import is_cacheable
-
-        if is_cacheable(scenario):
-            return cache.fetch_or_run(scenario, list(seeds), run_fresh)
-    return run_fresh(list(seeds))
-
-
-def replicate_parallel(
-    scenario: ScenarioFn,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    cache: Optional["ResultCache"] = None,
-) -> Dict[str, Aggregate]:
-    """Parallel drop-in for :func:`repro.analysis.stats.replicate`."""
-    return merge_replications(
-        run_replications(scenario, seeds, jobs=jobs, cache=cache)
-    )
-
-
-def replicate_resilient(
-    scenario: ScenarioFn,
-    seeds: Sequence[int],
-    jobs: Optional[int] = None,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    **campaign_kwargs,
-) -> Dict[str, Aggregate]:
-    """Crash-safe drop-in for :func:`replicate_parallel`.
-
-    Routes the same seed fan-out through the :mod:`repro.runtime`
-    supervisor (timeouts, bounded retry, pool respawn) and, when
-    ``journal_path`` is given, journals per-seed results so an
-    interrupted campaign can be resumed bit-identically.  Raises
-    ``CampaignIncomplete`` if any seed permanently fails.
-    """
-    from repro.runtime import run_campaign
-
-    result = run_campaign(
-        scenario, seeds, jobs=jobs, journal_path=journal_path,
-        resume=resume, **campaign_kwargs,
-    )
-    result.raise_if_incomplete()
-    assert result.aggregates is not None
-    return result.aggregates
 
 
 # ----------------------------------------------------------------------
@@ -288,38 +197,6 @@ class BenignReplicationSpec:
             "requests": metrics.requests,
             "acts": metrics.acts,
         }
-
-
-@dataclass(frozen=True)
-class TracedSpec:
-    """Picklable wrapper: run ``spec(seed)`` with event tracing on.
-
-    Each seed writes its own ``seed-<seed>.jsonl`` under ``trace_dir``,
-    so a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out yields
-    one non-interleaved trace file per replication — workers share no
-    file handles, only a directory name.  The ambient ``observe``
-    context attaches the sink to every system the spec builds.
-    """
-
-    #: a cached result would skip the trace side effect — the whole
-    #: point of this wrapper — so the result cache must never serve it
-    cacheable = False
-
-    spec: ScenarioFn
-    trace_dir: str
-    sample_interval_ns: Optional[int] = None
-
-    def __call__(self, seed: int) -> Dict[str, Number]:
-        from pathlib import Path
-
-        from repro.obs import JsonlSink, observe
-
-        path = Path(self.trace_dir) / f"seed-{seed}.jsonl"
-        with observe(
-            sink_factory=lambda: JsonlSink(path),
-            sample_interval_ns=self.sample_interval_ns,
-        ):
-            return self.spec(seed)
 
 
 #: replicate-subcommand name -> representative spec

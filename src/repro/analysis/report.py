@@ -1,84 +1,83 @@
-"""Markdown report generation: run the experiment suite and emit one
-self-contained document (the CLI's ``report`` subcommand and the
-EXPERIMENTS.md refresh path)."""
+"""EXPERIMENTS.md, re-rendered in place (the CLI's ``report``
+subcommand, and the one producer of that file).
+
+The committed document is its own template.  Every fenced block whose
+first line is ``### <id>: <title>`` holds the rendered outcome of that
+experiment, ablation or validation; :func:`render_document` runs each
+such id once, at its defaults and in document order, and puts the fresh
+render in its block.  Every other byte, the prose included, is kept as
+it is, so on an unchanged tree the result is the committed file byte
+for byte.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.ablations import ABLATIONS
 from repro.analysis.experiments import EXPERIMENTS, ExperimentOutcome
+from repro.analysis.validation import VALIDATIONS
 
-_HEADER = """# Experiment report
-
-Generated by `python -m repro report`.  One section per experiment; see
-DESIGN.md §3 for what each experiment reproduces and EXPERIMENTS.md for
-the curated paper-claim discussion.
-
-| ID | Title | Verdict |
-|---|---|---|
-"""
+FENCE = "```"
 
 
-def outcome_to_markdown(outcome: ExperimentOutcome) -> str:
-    """One experiment section: claim, artefacts in a code fence, verdict."""
-    parts = [
-        f"## {outcome.experiment_id}: {outcome.title}",
-        "",
-        f"**Claim.** {outcome.claim}",
-        "",
-        "```",
-    ]
-    for table in outcome.tables:
-        parts.append(table.render())
-        parts.append("")
-    for figure in outcome.figures:
-        parts.append(figure)
-        parts.append("")
-    parts.append("```")
-    status = "reproduced" if outcome.verdict else "NOT reproduced"
-    parts.append("")
-    parts.append(f"**Verdict:** {status} — {outcome.verdict_detail}")
-    return "\n".join(parts)
+class DocumentError(ValueError):
+    """The document cannot be re-rendered: a block names an unknown id,
+    a registered id has no block, or a fence is never closed."""
 
 
-def generate_report(
-    experiment_ids: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-    progress=None,
-    include_ablations: bool = False,
-) -> str:
-    """Run the selected experiments (all by default, plus the A-series
-    when ``include_ablations``) and return the combined markdown report.
-    ``scale`` overrides every experiment's own default scale when given.
-    ``progress`` is an optional callable invoked with each experiment id
-    before it runs."""
-    from repro.analysis.ablations import ABLATIONS
+def registry() -> Dict[str, Callable[[], ExperimentOutcome]]:
+    """Every E, A and V id with its runner, in that order."""
+    return {**EXPERIMENTS, **ABLATIONS, **VALIDATIONS}
 
-    registry = dict(EXPERIMENTS)
-    if include_ablations or any(
-        (eid or "").startswith("A") for eid in (experiment_ids or ())
-    ):
-        registry.update(ABLATIONS)
-    if experiment_ids is None:
-        selected = list(EXPERIMENTS)
-        if include_ablations:
-            selected.extend(ABLATIONS)
-    else:
-        selected = list(experiment_ids)
-    unknown = [eid for eid in selected if eid not in registry]
+
+def artefact_blocks(lines: List[str]) -> List[Tuple[str, int, int]]:
+    """``(id, start, end)`` of every fenced block whose first line is
+    ``### <id>:``; ``lines[start:end]`` is the block's body."""
+    found = []
+    index = 0
+    while index < len(lines):
+        if lines[index] != FENCE:
+            index += 1
+            continue
+        try:
+            end = lines.index(FENCE, index + 1)
+        except ValueError:
+            raise DocumentError(
+                f"the fence on line {index + 1} is never closed"
+            ) from None
+        head = lines[index + 1]
+        if head.startswith("### ") and ":" in head:
+            found.append((head[4:head.index(":")], index + 1, end))
+        index = end + 1
+    return found
+
+
+def render_document(
+    text: str, progress: Optional[Callable[[str], None]] = None
+) -> Tuple[str, Dict[str, ExperimentOutcome]]:
+    """``text`` with every artefact block re-rendered, and the outcome
+    of each id.  Raises :class:`DocumentError` before running anything
+    if the blocks and the registry disagree.  ``progress`` is called
+    with each id before it runs."""
+    lines = text.split("\n")
+    blocks = artefact_blocks(lines)
+    runners = registry()
+    ids = list(dict.fromkeys(key for key, _, _ in blocks))
+    unknown = [key for key in ids if key not in runners]
     if unknown:
-        known = ", ".join(registry)
-        raise KeyError(f"unknown experiment(s) {unknown}; known: {known}")
-    kwargs = {} if scale is None else {"scale": scale}
-    outcomes: List[ExperimentOutcome] = []
-    for experiment_id in selected:
+        raise DocumentError(
+            f"a block names unknown id {', '.join(unknown)}; "
+            f"known: {', '.join(runners)}"
+        )
+    missing = [key for key in runners if key not in ids]
+    if missing:
+        raise DocumentError(f"no block for {', '.join(missing)}")
+    outcomes: Dict[str, ExperimentOutcome] = {}
+    for key in ids:
         if progress is not None:
-            progress(experiment_id)
-        outcomes.append(registry[experiment_id](**kwargs))
-    summary_rows = "".join(
-        f"| {o.experiment_id} | {o.title} | "
-        f"{'reproduced' if o.verdict else 'NOT reproduced'} |\n"
-        for o in outcomes
-    )
-    body = "\n\n---\n\n".join(outcome_to_markdown(o) for o in outcomes)
-    return _HEADER + summary_rows + "\n---\n\n" + body + "\n"
+            progress(key)
+        outcomes[key] = runners[key]()
+    for key, start, end in reversed(blocks):
+        lines[start:end] = outcomes[key].render().rstrip().split("\n")
+    return "\n".join(lines), outcomes

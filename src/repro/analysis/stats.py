@@ -102,7 +102,7 @@ def replicate(
 ) -> Dict[str, Aggregate]:
     """Run ``scenario`` once per seed and aggregate every observable.
 
-    This is the serial reference path; :mod:`repro.analysis.parallel`
+    This is the serial reference path; :func:`repro.runtime.run_campaign`
     fans the same per-seed runs across worker processes and merges them
     through the same :func:`merge_replications` fold.
     """

@@ -1,5 +1,5 @@
-"""ASCII tables and series: the rendering layer shared by benchmarks,
-examples, and EXPERIMENTS.md generation.
+"""ASCII tables and series: the rendering layer shared by the CLI,
+examples, and EXPERIMENTS.md.
 
 The paper has no measured tables (it is a position paper); the harness
 prints one table per experiment in a stable format so outputs can be

@@ -93,8 +93,8 @@ class Attacker:
         return self._hammer(start_ns, deadline=start_ns + duration_ns)
 
     def run_rounds(self, rounds: int, start_ns: int = 0) -> AttackResult:
-        """Hammer a fixed number of rotation rounds (deterministic work,
-        used by benchmarks).  Exact and fast, as :meth:`run`."""
+        """Hammer a fixed number of rotation rounds (deterministic
+        work).  Exact and fast, as :meth:`run`."""
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         return self._hammer(start_ns, rounds=rounds)

@@ -6,19 +6,20 @@ Examples::
     python -m repro run E3 E6
     python -m repro attack --platform legacy --pattern double-sided
     python -m repro attack --platform proposed --defense subarray-isolation
-    python -m repro report -o report.md
+    python -m repro report
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.ablations import ABLATIONS
 from repro.analysis.validation import VALIDATIONS
 from repro.analysis.experiments import EXPERIMENTS
-from repro.analysis.report import generate_report
+from repro.analysis.report import DocumentError, registry, render_document
 from repro.analysis.scenarios import build_scenario, run_attack
 from repro.attacks.patterns import PATTERN_NAMES
 from repro.core.primitives import PrimitiveSet
@@ -78,20 +79,20 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    registry = {**EXPERIMENTS, **ABLATIONS, **VALIDATIONS}
+    runners = registry()
     failed = []
     for experiment_id in args.experiments:
         key = experiment_id.upper()
-        if key not in registry:
+        if key not in runners:
             print(f"unknown experiment {experiment_id!r}; "
-                  f"known: {', '.join(registry)}", file=sys.stderr)
+                  f"known: {', '.join(runners)}", file=sys.stderr)
             return 2
         if key.startswith("V") or args.scale is None:
             # validations pick their own scales; without --scale every
             # experiment runs at its own default (E13's is 8, not 64)
-            outcome = registry[key]()
+            outcome = runners[key]()
         else:
-            outcome = registry[key](scale=args.scale)
+            outcome = runners[key](scale=args.scale)
         print(outcome.render())
         print()
         if not outcome.verdict:
@@ -330,8 +331,6 @@ def _cmd_replicate(args) -> int:
 
 def _status_directory(args) -> int:
     """Deterministic multi-campaign table for a directory of journals."""
-    from pathlib import Path
-
     from repro.runtime import (
         JournalError,
         load_journal,
@@ -481,7 +480,6 @@ def _cmd_status(args) -> int:
 
 def _cmd_trace(args) -> int:
     import dataclasses
-    from pathlib import Path
 
     from repro.analysis.parallel import (
         REPLICATION_SPECS,
@@ -632,16 +630,26 @@ def _cmd_report(args) -> int:
         print(f"wrote {json_path}", file=sys.stderr)
         print(f"wrote {md_path}", file=sys.stderr)
         return 0
-    markdown = generate_report(
-        scale=args.scale,
-        progress=lambda eid: print(f"running {eid}...", file=sys.stderr),
-    )
-    if args.output:
-        with open(args.output, "w") as stream:
-            stream.write(markdown)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(markdown)
+    path = Path(args.output or "EXPERIMENTS.md")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as error:
+        print(f"repro report: error: {path}: {error.strerror}", file=sys.stderr)
+        return 2
+    try:
+        rendered, outcomes = render_document(
+            text,
+            progress=lambda key: print(f"running {key}...", file=sys.stderr),
+        )
+    except DocumentError as error:
+        print(f"repro report: error: {path}: {error}", file=sys.stderr)
+        return 2
+    path.write_text(rendered, encoding="utf-8")
+    print(f"wrote {path}", file=sys.stderr)
+    failed = [key for key, outcome in outcomes.items() if not outcome.verdict]
+    if failed:
+        print(f"NOT reproduced: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -688,13 +696,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless the flip outcome matches (for scripts)",
     )
 
-    report_parser = sub.add_parser("report", help="run everything, emit markdown")
-    report_parser.add_argument(
-        "--scale", type=int, default=None,
-        help="scale factor for every experiment (default: each "
-             "experiment's own)",
+    report_parser = sub.add_parser(
+        "report",
+        help="re-render every experiment block of EXPERIMENTS.md in place",
     )
-    report_parser.add_argument("-o", "--output", default=None)
+    report_parser.add_argument(
+        "-o", "--output", default=None, metavar="PATH",
+        help="document to re-render (default: EXPERIMENTS.md); with "
+             "--campaign, the base path of the run report",
+    )
     report_parser.add_argument(
         "--campaign", default=None, metavar="JOURNAL",
         help="instead of running experiments, write the deterministic "

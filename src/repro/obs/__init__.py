@@ -11,8 +11,8 @@ sim-time cadence.
 
 ``repro.obs.runtime.observe`` is the one-stop entry point: systems built
 inside the context pick up the configured sink and sampler automatically,
-which is how ``python -m repro trace`` and the parallel replication
-runner record without threading arguments through every call site.
+which is how ``python -m repro trace`` records without threading
+arguments through every call site.
 """
 
 from repro.obs.events import (

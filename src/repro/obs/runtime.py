@@ -7,12 +7,11 @@ are off unless something turns them on.
 
 :func:`observe` is the ambient switch: systems *built inside* the
 context pick up a freshly made sink and/or a sampler automatically.
-That indirection is what lets ``python -m repro trace`` and the
-process-parallel replication runner record runs whose system
-construction is buried inside a scenario spec, without plumbing a sink
-argument through every builder.  The state is per-process, so each
-worker of a process pool opens its own trace file and lines never
-interleave.
+That indirection is what lets ``python -m repro trace`` record runs
+whose system construction is buried inside a scenario spec, without
+plumbing a sink argument through every builder.  The state is
+per-process: a worker process that enters the context opens its own
+trace file, so lines never interleave.
 """
 
 from __future__ import annotations

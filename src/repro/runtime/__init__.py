@@ -1,9 +1,8 @@
 """Resilient campaign runtime: checkpoint, supervise, resume.
 
 The simulator's evidence base is long seeded replication campaigns, and
-:mod:`repro.analysis.parallel` runs them as a single-shot process-pool
-fan-out — one worker crash, OOM kill, or Ctrl-C discards every
-completed seed.  This package hardens the harness itself:
+a bare process-pool fan-out loses every completed seed to one worker
+crash, OOM kill, or Ctrl-C.  This package is the one fan-out, hardened:
 
 * :mod:`repro.runtime.journal`    — crash-safe per-seed result journal
   (fsync'd JSONL, schema-versioned header keyed on a campaign
@@ -21,7 +20,6 @@ ladder.
 """
 
 from repro.runtime.campaign import (
-    CampaignIncomplete,
     CampaignInterrupted,
     CampaignResult,
     rebuild_from_signature,
@@ -62,7 +60,6 @@ from repro.runtime.telemetry import (
 
 __all__ = [
     "CampaignHeader",
-    "CampaignIncomplete",
     "CampaignInterrupted",
     "CampaignJournal",
     "CampaignResult",

@@ -112,22 +112,6 @@ class CampaignResult:
             return None
         return merge_replications(runs)
 
-    def raise_if_incomplete(self) -> None:
-        if not self.complete:
-            raise CampaignIncomplete(self)
-
-
-class CampaignIncomplete(RuntimeError):
-    """Some seeds permanently failed after exhausting their retries."""
-
-    def __init__(self, result: CampaignResult) -> None:
-        self.result = result
-        reasons = "; ".join(
-            f"seed {f.seed}: {f.reason} ({f.attempts} attempts)"
-            for f in result.failures.values()
-        ) or f"seeds {result.incomplete_seeds} never completed"
-        super().__init__(f"campaign incomplete: {reasons}")
-
 
 class CampaignInterrupted(KeyboardInterrupt):
     """Ctrl-C (or SIGINT) landed mid-campaign; partial results salvaged.

@@ -1,9 +1,9 @@
 """Supervised process-pool map: timeouts, bounded retry, pool respawn.
 
-``run_replications`` fans seeds across a ``ProcessPoolExecutor`` and
-hopes: one OOM-killed worker raises ``BrokenProcessPool`` and discards
-every completed seed.  :class:`Supervisor` wraps the same fan-out with
-the recovery ladder a long campaign needs:
+A bare ``ProcessPoolExecutor`` map over seeds hopes: one OOM-killed
+worker raises ``BrokenProcessPool`` and discards every completed seed.
+:class:`Supervisor` wraps the fan-out with the recovery ladder a long
+campaign needs:
 
 * **per-task wall-clock timeouts** — a hung seed is abandoned, its
   worker pool recycled, and the seed requeued;

@@ -1,21 +1,10 @@
-"""The content-addressed result cache: keys, storage, runner and
-campaign integration, and the cache CLI."""
+"""The content-addressed result cache: keys, storage, campaign
+integration, and the cache CLI."""
 
 import json
 
-import pytest
-
-from repro.analysis.cache import (
-    CACHE_SCHEMA_VERSION,
-    ResultCache,
-    is_cacheable,
-    result_key,
-)
-from repro.analysis.parallel import (
-    BenignReplicationSpec,
-    TracedSpec,
-    run_replications,
-)
+from repro.analysis.cache import ResultCache, is_cacheable, result_key
+from repro.analysis.parallel import BenignReplicationSpec
 from repro.cli import main
 from repro.faults.crash import CrashingSpec
 from repro.obs.registry import MetricsRegistry
@@ -35,19 +24,9 @@ def test_result_key_is_stable_and_seed_sensitive():
     assert result_key(SPEC, 1) != result_key(other, 1)
 
 
-def test_schema_version_changes_the_key(monkeypatch):
-    before = result_key(SPEC, 1)
-    monkeypatch.setattr(
-        "repro.analysis.cache.CACHE_SCHEMA_VERSION",
-        CACHE_SCHEMA_VERSION + 1,
-    )
-    assert result_key(SPEC, 1) != before
-
-
 def test_is_cacheable():
     assert is_cacheable(SPEC)
     assert not is_cacheable(lambda seed: {})  # unstable repr signature
-    assert not is_cacheable(TracedSpec(spec=SPEC, trace_dir="t"))
     assert not is_cacheable(CrashingSpec(spec=SPEC))
 
 
@@ -72,36 +51,15 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
     assert cache.get(SPEC, 5) == {"acts": 12}
 
 
-def test_schema_mismatch_reads_as_miss(tmp_path):
+def test_entry_from_another_source_digest_reads_as_miss(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
-    path = cache.put(SPEC, 5, {"acts": 12})
-    payload = json.loads(path.read_text())
-    payload["schema"] = CACHE_SCHEMA_VERSION + 1
-    path.write_text(json.dumps(payload))
+    cache.put(SPEC, 5, {"acts": 12})
+    assert cache.get(SPEC, 5) == {"acts": 12}
+    # the same spec and seed, looked up by a changed simulator
+    monkeypatch.setattr(
+        "repro.analysis.cache.source_digest", lambda: "0" * 64
+    )
     assert cache.get(SPEC, 5) is None
-
-
-def test_fetch_or_run_orders_and_fills(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(SPEC, 2, {"v": 2})
-    ran = []
-
-    def runner(missing):
-        ran.extend(missing)
-        return [{"v": seed} for seed in missing]
-
-    out = cache.fetch_or_run(SPEC, [1, 2, 3], runner)
-    assert out == [{"v": 1}, {"v": 2}, {"v": 3}]
-    assert ran == [1, 3]
-    # everything is now warm
-    assert cache.fetch_or_run(SPEC, [1, 2, 3], runner) == out
-    assert ran == [1, 3]
-
-
-def test_fetch_or_run_rejects_short_runner(tmp_path):
-    cache = ResultCache(tmp_path)
-    with pytest.raises(ValueError, match="runner returned"):
-        cache.fetch_or_run(SPEC, [1, 2], lambda missing: [{}])
 
 
 def test_entries_stats_prune_clear(tmp_path):
@@ -120,23 +78,13 @@ def test_entries_stats_prune_clear(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Runner / campaign integration
+# Campaign integration
 # ----------------------------------------------------------------------
 
-def test_run_replications_warm_is_bit_identical(tmp_path):
-    cache = ResultCache(tmp_path)
-    seeds = [101, 102, 103]
-    cold = run_replications(SPEC, seeds, jobs=1, cache=cache)
-    assert cache.counters() == {"hits": 0, "misses": 3}
-    warm = run_replications(SPEC, seeds, jobs=1, cache=cache)
-    assert cache.counters() == {"hits": 3, "misses": 3}
-    assert warm == cold == run_replications(SPEC, seeds, jobs=1)
-
-
-def test_run_replications_skips_cache_for_uncacheable(tmp_path):
+def test_campaign_skips_cache_for_uncacheable(tmp_path):
     cache = ResultCache(tmp_path)
     spec = CrashingSpec(spec=SPEC)  # cacheable = False; crashes nothing
-    run_replications(spec, [101], jobs=1, cache=cache)
+    assert run_campaign(spec, [101], jobs=1, cache=cache).complete
     assert cache.counters() == {"hits": 0, "misses": 0}
     assert cache.entries() == []
 

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import DEFENSE_FACTORIES, main
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 class TestList:
@@ -119,18 +123,68 @@ class TestReplicateCommand:
         assert main(["replicate", "e13", "--seeds", "1", "--scale", "8"]) == 0
 
 
-class TestReportHelpers:
-    def test_generate_report_subset(self):
-        from repro.analysis.report import generate_report
+class TestReport:
+    """``repro report`` re-renders a document's artefact blocks in place."""
 
-        seen = []
-        markdown = generate_report(["E2"], progress=seen.append)
-        assert seen == ["E2"]
-        assert "## E2" in markdown
-        assert "reproduced" in markdown
+    @staticmethod
+    def _only(monkeypatch, runners):
+        """Narrow the registry to ``runners``, so a one-block document
+        is complete."""
+        monkeypatch.setattr(
+            "repro.analysis.report.registry", lambda: dict(runners)
+        )
 
-    def test_unknown_id_rejected(self):
-        from repro.analysis.report import generate_report
+    @staticmethod
+    def _document(path, block):
+        path.write_text(
+            "# E2 only\n\nProse the report keeps.\n\n" + block
+            + "\nMore prose.\n",
+            encoding="utf-8",
+        )
 
-        with pytest.raises(KeyError):
-            generate_report(["E99"])
+    def test_e2_block_comes_back_byte_identical(self, monkeypatch, tmp_path):
+        from repro.analysis.experiments import run_e2
+
+        committed = EXPERIMENTS_MD.read_text(encoding="utf-8")
+        start = committed.index("```\n### E2:")
+        block = committed[start:committed.index("```\n", start + 3) + 4]
+        self._only(monkeypatch, {"E2": run_e2})
+        path = tmp_path / "doc.md"
+        self._document(path, block)
+        expected = path.read_text(encoding="utf-8")
+        assert main(["report", "-o", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == expected
+        # a stale block is rewritten, not just left alone
+        self._document(path, "```\n### E2: stale\n```\n")
+        assert main(["report", "-o", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("block, message", [
+        pytest.param("```\n### E99: no such id\n```\n", "unknown id E99",
+                     id="unknown-id"),
+        pytest.param("```\n### E2: only E2\n```\n", "no block for E1, E3,",
+                     id="missing-block"),
+    ])
+    def test_unknown_id_or_missing_block_exits_2(
+        self, tmp_path, capsys, block, message
+    ):
+        path = tmp_path / "doc.md"
+        self._document(path, block)
+        before = path.read_text(encoding="utf-8")
+        assert main(["report", "-o", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert path.read_text(encoding="utf-8") == before
+
+    def test_false_verdict_exits_1(self, monkeypatch, tmp_path, capsys):
+        from repro.analysis.experiments import ExperimentOutcome
+
+        def refuted():
+            return ExperimentOutcome("E2", "stub", "a claim that fails")
+
+        self._only(monkeypatch, {"E2": refuted})
+        path = tmp_path / "doc.md"
+        self._document(path, "```\n### E2: stale\n```\n")
+        assert main(["report", "-o", str(path)]) == 1
+        assert "NOT reproduced: E2" in capsys.readouterr().err
+        assert "### E2: stub" in path.read_text(encoding="utf-8")

@@ -1,64 +1,17 @@
-"""Determinism and plumbing tests for the parallel replication runner.
+"""Worker-count resolution and the replication-spec registry.
 
-The contract of :mod:`repro.analysis.parallel` is that fanning seeded
-replications across worker processes is a pure wall-clock optimisation:
-for a fixed seed list the per-seed observables and the merged aggregates
-must be bit-identical to running the same seeds serially.
+Fanning the specs out across processes is :func:`repro.runtime.run_campaign`'s
+job; its pool == serial cases live in ``tests/runtime/test_campaign.py``.
 """
 
 import pytest
 
 from repro.analysis.parallel import (
     JOBS_ENV,
-    AttackReplicationSpec,
-    BenignReplicationSpec,
-    EvasionReplicationSpec,
     REPLICATION_SPECS,
     default_jobs,
-    replicate_parallel,
     resolve_jobs,
-    run_replications,
 )
-from repro.analysis.stats import merge_replications, replicate
-
-SEEDS = (201, 202, 203)
-
-
-class TestSerialPoolEquivalence:
-    def test_attack_spec_pool_is_bit_identical(self):
-        # The E4 shape: interleaved tenants, double-sided hammering.
-        spec = AttackReplicationSpec(scale=64)
-        serial = [spec(seed) for seed in SEEDS]
-        pooled = run_replications(spec, SEEDS, jobs=2)
-        assert pooled == serial
-        assert any(run["cross_domain_flips"] > 0 for run in serial)
-
-    def test_evasion_spec_pool_is_bit_identical(self):
-        # The E10 shape: targeted-refresh defense vs. evasive attacker.
-        spec = EvasionReplicationSpec(scale=64)
-        serial = [spec(seed) for seed in SEEDS]
-        pooled = run_replications(spec, SEEDS, jobs=2)
-        assert pooled == serial
-        assert all(run["aggressor_acts"] > 0 for run in serial)
-
-    def test_replicate_parallel_matches_serial_replicate(self):
-        spec = BenignReplicationSpec(accesses=1000, scale=8)
-        assert replicate_parallel(spec, SEEDS, jobs=2) == replicate(spec, SEEDS)
-
-    def test_jobs_one_runs_in_process(self):
-        spec = BenignReplicationSpec(accesses=500, scale=8)
-        assert run_replications(spec, SEEDS, jobs=1) == [
-            spec(seed) for seed in SEEDS
-        ]
-
-    def test_merge_is_order_sensitive_input_order_preserved(self):
-        # executor.map must preserve seed order; merging relies on it
-        # only for sample bookkeeping, but per-seed results line up.
-        spec = BenignReplicationSpec(accesses=500, scale=8)
-        runs = run_replications(spec, SEEDS, jobs=2)
-        assert merge_replications(runs) == merge_replications(
-            [spec(seed) for seed in SEEDS]
-        )
 
 
 class TestJobResolution:

@@ -7,14 +7,15 @@ for both serial and parallel paths; a worker killed mid-campaign must
 end the same way after recovery.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.parallel import BenignReplicationSpec, replicate_resilient
-from repro.analysis.stats import replicate
+from repro.analysis.parallel import REPLICATION_SPECS, BenignReplicationSpec
+from repro.analysis.stats import merge_replications, replicate
 from repro.faults import CrashingSpec
 from repro.obs import CAMPAIGN_RESUME, MetricsRegistry, RingBufferSink, TraceBus
 from repro.runtime import (
-    CampaignIncomplete,
     CampaignJournal,
     JournalError,
     SupervisorPolicy,
@@ -24,6 +25,12 @@ from repro.runtime import (
 SPEC = BenignReplicationSpec(accesses=500, scale=8)
 SEEDS = [101, 102, 103, 104]
 FAST = SupervisorPolicy(backoff_base_s=0.001, backoff_cap_s=0.01)
+#: every ``repro replicate`` spec, shrunk to about a second per campaign
+SMALL_SPECS = {
+    "E4": dataclasses.replace(REPLICATION_SPECS["E4"], scale=128),
+    "E10": dataclasses.replace(REPLICATION_SPECS["E10"], scale=128),
+    "E13": dataclasses.replace(REPLICATION_SPECS["E13"], accesses=500),
+}
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +41,17 @@ def clean_aggregates():
 
 class TestCleanCampaign:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bit_identical_to_serial_replicate(
-        self, jobs, clean_aggregates, tmp_path
-    ):
+    @pytest.mark.parametrize("name", sorted(REPLICATION_SPECS))
+    def test_bit_identical_to_serial_replicate(self, name, jobs, tmp_path):
+        spec = SMALL_SPECS[name]
         result = run_campaign(
-            SPEC, SEEDS, jobs=jobs, policy=FAST,
-            journal_path=tmp_path / "c.jsonl", experiment="E13",
+            spec, SEEDS, jobs=jobs, policy=FAST,
+            journal_path=tmp_path / "c.jsonl", experiment=name,
         )
         assert result.complete
-        assert result.aggregates == clean_aggregates
+        serial = [spec(seed) for seed in SEEDS]  # what replicate() folds
+        assert [result.completed[seed] for seed in SEEDS] == serial
+        assert result.aggregates == merge_replications(serial)
 
     def test_without_journal(self, clean_aggregates):
         result = run_campaign(SPEC, SEEDS, jobs=2, policy=FAST)
@@ -167,23 +176,4 @@ class TestResume:
             run_campaign(
                 other, SEEDS, jobs=1, policy=FAST,
                 journal_path=path, resume=True, experiment="E13",
-            )
-
-
-class TestReplicateResilient:
-    def test_matches_plain_replicate(self, clean_aggregates, tmp_path):
-        aggregates = replicate_resilient(
-            SPEC, SEEDS, jobs=2, policy=FAST,
-            journal_path=str(tmp_path / "c.jsonl"),
-        )
-        assert aggregates == clean_aggregates
-
-    def test_raises_on_permanent_failure(self):
-        spec = CrashingSpec(spec=SPEC, crash_seeds=(102,), mode="raise")
-        with pytest.raises(CampaignIncomplete, match="seed 102"):
-            replicate_resilient(
-                spec, SEEDS, jobs=2,
-                policy=SupervisorPolicy(
-                    max_retries=0, backoff_base_s=0.001
-                ),
             )
