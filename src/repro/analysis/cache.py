@@ -8,7 +8,7 @@ the seed, and :func:`source_digest` — a digest of the ``repro``
 package's source — so any change to the scenario parameters or to any
 line of the simulator produces a different key rather than a stale hit.
 Entries written by other code are never read again; ``repro cache
-prune`` reclaims them.
+prune`` removes them.
 
 Entries are single JSON files written atomically (temp file +
 ``os.replace``), so concurrent pool workers and concurrent campaigns may
@@ -115,6 +115,9 @@ class CacheEntry:
     created_at: float
     bytes: int
     path: Path
+    #: :func:`source_digest` of the code that stored it ("" before the
+    #: cache keyed entries on the source)
+    source: str
 
 
 class ResultCache:
@@ -214,6 +217,7 @@ class ResultCache:
                     created_at=float(payload["created_at"]),
                     bytes=path.stat().st_size,
                     path=path,
+                    source=str(payload.get("source", "")),
                 )
             except (OSError, KeyError, TypeError, ValueError):
                 continue
@@ -235,22 +239,27 @@ class ResultCache:
         older_than_s: Optional[float] = None,
         max_entries: Optional[int] = None,
     ) -> int:
-        """Drop entries by age and/or count; returns how many went.
+        """Drop what can never hit, then entries by age and/or count;
+        returns how many went.
 
-        ``older_than_s`` removes entries older than that many seconds;
-        ``max_entries`` then keeps only the newest N.  Unreadable files
-        under the root (corrupt debris) are removed unconditionally —
-        they can never hit.
+        Entries stored by other code (another :func:`source_digest`, or
+        none at all) and unreadable files under the root (corrupt
+        debris) go unconditionally: no lookup of this code reaches
+        them.  ``older_than_s`` then removes entries older than that
+        many seconds, and ``max_entries`` keeps only the newest N.
         """
         removed = 0
         if not self.root.exists():
             return removed
-        readable = {entry.path for entry in self.entries()}
+        current = source_digest()
+        survivors = [
+            entry for entry in self.entries() if entry.source == current
+        ]
+        live = {entry.path for entry in survivors}
         for path in self.root.glob("*/*.json"):
-            if path not in readable:
+            if path not in live:
                 path.unlink(missing_ok=True)
                 removed += 1
-        survivors = self.entries()
         now = time.time()
         if older_than_s is not None:
             for entry in list(survivors):

@@ -20,7 +20,7 @@ plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,11 +85,10 @@ class AttackPlanner:
             self.attacker.pages * self.attacker.lines_per_page
         )
         physical_line = self.attacker.physical_line
-        addresses = self.system.mapper.lines_to_ddr_bulk(
-            [physical_line(line) for line in virtual_lines]
-        )
+        line_to_ddr = self.system.mapper.line_to_ddr
         line_by_row = self._line_by_row
-        for virtual_line, address in zip(virtual_lines, addresses):
+        for virtual_line in virtual_lines:
+            address = line_to_ddr(physical_line(virtual_line))
             line_by_row.setdefault(address.row_key(), virtual_line)
 
     # ------------------------------------------------------------------

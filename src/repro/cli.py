@@ -186,10 +186,6 @@ def _cmd_cache(args) -> int:
             print(f"{key}: {value}")
         return 0
     if args.action == "prune":
-        if args.older_than is None and args.max_entries is None:
-            print("repro cache: error: prune needs --older-than and/or "
-                  "--max-entries", file=sys.stderr)
-            return 2
         older_s = (
             args.older_than * 86_400.0 if args.older_than is not None
             else None
@@ -838,11 +834,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--older-than", type=float, default=None, metavar="DAYS",
-        help="prune: drop entries older than this many days",
+        help="prune: also drop entries older than this many days",
     )
     cache_parser.add_argument(
         "--max-entries", type=int, default=None, metavar="N",
-        help="prune: keep at most the newest N entries",
+        help="prune: also keep at most the newest N entries",
     )
 
     status_parser = sub.add_parser(

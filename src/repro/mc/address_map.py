@@ -31,13 +31,17 @@ schemes are modelled, matching the design space of §4.1:
     (directly via ASID or indirectly via its knowledge of the map); the
     controller enforces the group placement.
 
-All mappings are bijections between cache-line indices and DDR addresses,
-verified by property tests.
+Each scheme has one forward map, ``_line_to_ddr_uncached``, which every
+caller reaches through the memoised :meth:`AddressMapper.line_to_ddr`
+(request paths, the hammer chain, the attack planner) or, for whole
+frames, through the memo-free :meth:`AddressMapper.frame_addresses`.
+All mappings are bijections between cache-line indices and DDR
+addresses, verified by property tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.dram.geometry import DdrAddress, DramGeometry
 
@@ -68,10 +72,13 @@ class AddressMapper:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
-        # Flat-bank-index -> (channel, rank, bank) lookup table shared by
-        # the bulk translators (replaces per-line bank_from_index divmods).
+        # Sizes and the flat-bank-index -> (channel, rank, bank) table
+        # the forward maps use instead of per-line geometry calls.
+        self._banks = geometry.banks_total
+        self._rows = geometry.rows_per_bank
+        self._cols = geometry.columns_per_row
         self._bank_coords: List[tuple] = [
-            geometry.bank_from_index(i) for i in range(geometry.banks_total)
+            geometry.bank_from_index(i) for i in range(self._banks)
         ]
 
     # -- abstract -------------------------------------------------------
@@ -104,19 +111,6 @@ class AddressMapper:
             self.memo_evictions += 1
         cache[line] = address
         return address
-
-    def lines_to_ddr_bulk(self, lines: Iterable[int]) -> List[DdrAddress]:
-        """Translate a batch of cache-line indices, in order.
-
-        The base implementation loops the memoised scalar path;
-        subclasses override it with table-driven direct computation
-        (precomputed shift/mask or divmod pipelines over the
-        ``_bank_coords`` table) that skips the per-line memo entirely.
-        Every override must preserve per-line *order* — lazy first-touch
-        placement in :class:`SubarrayIsolatedInterleaving` depends on it.
-        """
-        to_ddr = self.line_to_ddr
-        return [to_ddr(line) for line in lines]
 
     def memo_counters(self) -> Dict[str, int]:
         """Telemetry snapshot of the ``line_to_ddr`` memo (gauge source
@@ -196,83 +190,15 @@ class LinearMapping(AddressMapper):
 
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
         self._check_line(line)
-        cols = self.geometry.columns_per_row
-        column = line % cols
-        rest = line // cols
-        row = rest % self.geometry.rows_per_bank
-        bank_flat = rest // self.geometry.rows_per_bank
-        channel, rank, bank = self.geometry.bank_from_index(bank_flat)
+        rest, column = divmod(line, self._cols)
+        bank_flat, row = divmod(rest, self._rows)
+        channel, rank, bank = self._bank_coords[bank_flat]
         return DdrAddress(channel, rank, bank, row, column)
-
-    def lines_to_ddr_bulk(self, lines: Iterable[int]) -> List[DdrAddress]:
-        geo = self.geometry
-        cols = geo.columns_per_row
-        rows = geo.rows_per_bank
-        coords = self._bank_coords
-        total = self.total_lines
-        addr = DdrAddress
-        out: List[DdrAddress] = []
-        append = out.append
-        # Consult the scalar memo per line: request windows revisit a
-        # working set heavily, and a memo hit (one dict.get) is several
-        # times cheaper than re-running the arithmetic and constructing
-        # a fresh (frozen, identical) DdrAddress.  The mapping is a
-        # static bijection, so sharing memoised objects is safe.
-        cache = self._ddr_cache
-        cache_get = cache.get
-        capacity = self.CACHE_CAPACITY
-        hits = misses = 0
-        if _is_pow2(cols) and _is_pow2(rows):
-            col_shift = cols.bit_length() - 1
-            col_mask = cols - 1
-            row_shift = rows.bit_length() - 1
-            row_mask = rows - 1
-            for line in lines:
-                address = cache_get(line)
-                if address is not None:
-                    hits += 1
-                    append(address)
-                    continue
-                if not 0 <= line < total:
-                    self._check_line(line)
-                rest = line >> col_shift
-                channel, rank, bank = coords[rest >> row_shift]
-                address = addr(
-                    channel, rank, bank, rest & row_mask, line & col_mask
-                )
-                misses += 1
-                if len(cache) >= capacity:
-                    del cache[next(iter(cache))]
-                    self.memo_evictions += 1
-                cache[line] = address
-                append(address)
-        else:
-            for line in lines:
-                address = cache_get(line)
-                if address is not None:
-                    hits += 1
-                    append(address)
-                    continue
-                if not 0 <= line < total:
-                    self._check_line(line)
-                rest, column = divmod(line, cols)
-                bank_flat, row = divmod(rest, rows)
-                channel, rank, bank = coords[bank_flat]
-                address = addr(channel, rank, bank, row, column)
-                misses += 1
-                if len(cache) >= capacity:
-                    del cache[next(iter(cache))]
-                    self.memo_evictions += 1
-                cache[line] = address
-                append(address)
-        self.memo_hits += hits
-        self.memo_misses += misses
-        return out
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         bank_flat = self.geometry.bank_index(address)
-        rest = bank_flat * self.geometry.rows_per_bank + address.row
-        return rest * self.geometry.columns_per_row + address.column
+        rest = bank_flat * self._rows + address.row
+        return rest * self._cols + address.column
 
 
 class CachelineInterleaving(AddressMapper):
@@ -284,127 +210,52 @@ class CachelineInterleaving(AddressMapper):
 
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
         self._check_line(line)
-        banks = self.geometry.banks_total
-        bank_flat = line % banks
-        rest = line // banks
-        column = rest % self.geometry.columns_per_row
-        row = rest // self.geometry.columns_per_row
-        channel, rank, bank = self.geometry.bank_from_index(bank_flat)
+        rest, bank_flat = divmod(line, self._banks)
+        row, column = divmod(rest, self._cols)
+        channel, rank, bank = self._bank_coords[bank_flat]
         return DdrAddress(channel, rank, bank, row, column)
-
-    def lines_to_ddr_bulk(self, lines: Iterable[int]) -> List[DdrAddress]:
-        return self._bulk_interleaved(lines, permute=False)
-
-    def _bulk_interleaved(
-        self, lines: Iterable[int], permute: bool
-    ) -> List[DdrAddress]:
-        """Shared table-driven pipeline for the interleaved schemes.
-
-        ``permute=True`` applies the [63] bank permutation after the
-        round-robin split (used by :class:`PermutationInterleaving`).
-        """
-        geo = self.geometry
-        banks = geo.banks_total
-        cols = geo.columns_per_row
-        coords = self._bank_coords
-        total = self.total_lines
-        addr = DdrAddress
-        pow2 = _is_pow2(banks) and _is_pow2(cols)
-        out: List[DdrAddress] = []
-        append = out.append
-        # Memo-first, as in LinearMapping.lines_to_ddr_bulk: windows
-        # revisit their working set, and a dict.get hit beats redoing
-        # the split + DdrAddress construction severalfold.
-        cache = self._ddr_cache
-        cache_get = cache.get
-        capacity = self.CACHE_CAPACITY
-        hits = misses = 0
-        if pow2:
-            bank_shift = banks.bit_length() - 1
-            bank_mask = banks - 1
-            col_shift = cols.bit_length() - 1
-            col_mask = cols - 1
-            for line in lines:
-                address = cache_get(line)
-                if address is not None:
-                    hits += 1
-                    append(address)
-                    continue
-                if not 0 <= line < total:
-                    self._check_line(line)
-                rest = line >> bank_shift
-                row = rest >> col_shift
-                bank_flat = line & bank_mask
-                if permute:
-                    bank_flat = (bank_flat ^ row) & bank_mask
-                channel, rank, bank = coords[bank_flat]
-                address = addr(channel, rank, bank, row, rest & col_mask)
-                misses += 1
-                if len(cache) >= capacity:
-                    del cache[next(iter(cache))]
-                    self.memo_evictions += 1
-                cache[line] = address
-                append(address)
-        else:
-            for line in lines:
-                address = cache_get(line)
-                if address is not None:
-                    hits += 1
-                    append(address)
-                    continue
-                if not 0 <= line < total:
-                    self._check_line(line)
-                rest, bank_flat = divmod(line, banks)
-                row, column = divmod(rest, cols)
-                if permute:
-                    bank_flat = self._permute(bank_flat, row)
-                channel, rank, bank = coords[bank_flat]
-                address = addr(channel, rank, bank, row, column)
-                misses += 1
-                if len(cache) >= capacity:
-                    del cache[next(iter(cache))]
-                    self.memo_evictions += 1
-                cache[line] = address
-                append(address)
-        self.memo_hits += hits
-        self.memo_misses += misses
-        return out
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         bank_flat = self.geometry.bank_index(address)
-        rest = address.row * self.geometry.columns_per_row + address.column
-        return rest * self.geometry.banks_total + bank_flat
+        rest = address.row * self._cols + address.column
+        return rest * self._banks + bank_flat
 
 
 class PermutationInterleaving(CachelineInterleaving):
     """Cache-line interleaving with the bank index permuted by XOR with
     low row bits [63], reducing pathological row-buffer conflicts when
-    multiple streams stride across banks."""
+    multiple streams stride across banks.  When the bank count is not a
+    power of two an XOR could leave the bank range, so the bank index is
+    rotated by the row instead."""
 
     name = "permutation-interleave"
 
-    def lines_to_ddr_bulk(self, lines: Iterable[int]) -> List[DdrAddress]:
-        return self._bulk_interleaved(lines, permute=True)
+    def __init__(self, geometry: DramGeometry, page_bytes: int = 4096) -> None:
+        super().__init__(geometry, page_bytes)
+        self._xor = _is_pow2(self._banks)
 
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
-        base = super()._line_to_ddr_uncached(line)
-        bank_flat = self.geometry.bank_index(base)
-        permuted = self._permute(bank_flat, base.row)
-        channel, rank, bank = self.geometry.bank_from_index(permuted)
-        return DdrAddress(channel, rank, bank, base.row, base.column)
+        self._check_line(line)
+        banks = self._banks
+        rest, bank_flat = divmod(line, banks)
+        row, column = divmod(rest, self._cols)
+        if self._xor:
+            bank_flat = (bank_flat ^ row) % banks
+        else:
+            bank_flat = (bank_flat + row) % banks
+        channel, rank, bank = self._bank_coords[bank_flat]
+        return DdrAddress(channel, rank, bank, row, column)
 
     def ddr_to_line(self, address: DdrAddress) -> int:
+        banks = self._banks
         permuted = self.geometry.bank_index(address)
-        bank_flat = self._permute(permuted, address.row)  # XOR is self-inverse
-        channel, rank, bank = self.geometry.bank_from_index(bank_flat)
-        return super().ddr_to_line(
-            DdrAddress(channel, rank, bank, address.row, address.column)
-        )
-
-    def _permute(self, bank_flat: int, row: int) -> int:
-        return (bank_flat ^ row) % self.geometry.banks_total if _is_pow2(
-            self.geometry.banks_total
-        ) else (bank_flat + row) % self.geometry.banks_total
+        row = address.row
+        # the XOR is its own inverse; the rotation is undone by subtracting
+        if self._xor:
+            bank_flat = (permuted ^ row) % banks
+        else:
+            bank_flat = (permuted - row) % banks
+        return (row * self._cols + address.column) * banks + bank_flat
 
 
 class SubarrayIsolatedInterleaving(AddressMapper):
@@ -451,6 +302,7 @@ class SubarrayIsolatedInterleaving(AddressMapper):
         }
         self._domain_group: Dict[int, int] = {}
         self._default_groups = geometry.subarrays_per_bank
+        self._rows_per_subarray = geometry.rows_per_subarray
 
     # -- domain/frame management (driven by the host OS) ----------------
 
@@ -534,84 +386,32 @@ class SubarrayIsolatedInterleaving(AddressMapper):
         self._frame_slot[frame] = slot
         self._slot_frame[(group, slot)] = frame
 
-    def _ensure_placed(self, frame: int) -> None:
-        """Lazily place a frame that was never explicitly assigned."""
-        if frame not in self._frame_group:
-            self._place(frame, frame % self._default_groups)
-
     # -- the bijection ---------------------------------------------------
-
-    def lines_to_ddr_bulk(self, lines: Iterable[int]) -> List[DdrAddress]:
-        # Must iterate strictly in order: a never-touched frame is placed
-        # lazily on first touch, and slot assignment depends on placement
-        # order.  Bulk translation of a request window sees lines in
-        # arrival order, exactly like the scalar path would.
-        geo = self.geometry
-        banks = geo.banks_total
-        cols = geo.columns_per_row
-        rows_per_subarray = geo.rows_per_subarray
-        lpp = self.lines_per_page
-        lpbpf = self.lines_per_bank_per_frame
-        coords = self._bank_coords
-        frame_group = self._frame_group
-        frame_slot = self._frame_slot
-        default_groups = self._default_groups
-        total = self.total_lines
-        addr = DdrAddress
-        out: List[DdrAddress] = []
-        append = out.append
-        last_frame = -1
-        group = slot = frame_base = 0
-        for line in lines:
-            if not 0 <= line < total:
-                self._check_line(line)
-            frame = line // lpp
-            if frame != last_frame:
-                if frame not in frame_group:
-                    self._place(frame, frame % default_groups)
-                group = frame_group[frame]
-                slot = frame_slot[frame]
-                frame_base = frame * lpp
-                last_frame = frame
-            offset = line - frame_base
-            packed = slot * lpbpf + offset // banks
-            row_in_subarray = packed // cols
-            if row_in_subarray >= rows_per_subarray:
-                raise MemoryError(
-                    f"frame slot {slot} exceeds subarray group capacity"
-                )
-            channel, rank, bank = coords[(offset + slot) % banks]
-            append(
-                addr(
-                    channel,
-                    rank,
-                    bank,
-                    group * rows_per_subarray + row_in_subarray,
-                    packed % cols,
-                )
-            )
-        return out
 
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
         self._check_line(line)
-        frame = self.frame_of_line(line)
-        offset = line - frame * self.lines_per_page
-        self._ensure_placed(frame)
-        group = self._frame_group[frame]
+        frame, offset = divmod(line, self.lines_per_page)
+        if frame not in self._frame_group:
+            # lazy first-touch placement: the order of first touches
+            # decides the slots
+            self._place(frame, frame % self._default_groups)
         slot = self._frame_slot[frame]
-        # Rotate the starting bank by slot so groups load banks evenly.
-        bank_flat = (offset + slot) % self.geometry.banks_total
-        within_bank = offset // self.geometry.banks_total
-        packed = slot * self.lines_per_bank_per_frame + within_bank
-        column = packed % self.geometry.columns_per_row
-        row_in_subarray = packed // self.geometry.columns_per_row
-        if row_in_subarray >= self.geometry.rows_per_subarray:
-            raise MemoryError(
-                f"frame slot {slot} exceeds subarray group capacity"
-            )
-        row = group * self.geometry.rows_per_subarray + row_in_subarray
-        channel, rank, bank = self.geometry.bank_from_index(bank_flat)
-        return DdrAddress(channel, rank, bank, row, column)
+        # Pack the frame's lines densely into its slot (a slot never
+        # outgrows the group: ``frames_per_group`` bounds it), rotating
+        # the starting bank by slot so groups load banks evenly.
+        row_in_subarray, column = divmod(
+            slot * self.lines_per_bank_per_frame + offset // self._banks,
+            self._cols,
+        )
+        channel, rank, bank = self._bank_coords[(offset + slot) % self._banks]
+        return DdrAddress(
+            channel,
+            rank,
+            bank,
+            self._frame_group[frame] * self._rows_per_subarray
+            + row_in_subarray,
+            column,
+        )
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         group = self.geometry.subarray_of_row(address.row)

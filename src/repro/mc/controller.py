@@ -271,218 +271,6 @@ class MemoryController:
             flips=flips,
         )
 
-    def _submit_translated(
-        self, request: MemoryRequest, address: DdrAddress
-    ) -> CompletedRequest:
-        """:meth:`submit` for a request whose address is already known.
-
-        Used by the FR-FCFS scheduler, which bulk-translates its whole
-        window up front.  Result-identical to :meth:`submit`: refresh
-        bursts do not consult or mutate the address mapper, so running
-        the refresh guard after translation instead of before it cannot
-        change the translation.
-
-        The bank-hit arithmetic, :meth:`DramDevice.access_mapped`
-        dispatch, and :meth:`_account` bookkeeping are inlined — this
-        method runs once per scheduled request and the calls it replaces
-        are pure overhead at that frequency."""
-        time_ns = request.time_ns
-        if self.refresh_enabled and self._next_ref_at <= time_ns:
-            self.advance_to(time_ns)
-        device = self.device
-        bank = device.banks[(address.channel, address.rank, address.bank)]
-        stats = self.stats
-        timings = device.timings
-        tBL = timings.tBL
-        row = address.row
-        open_row = bank.open_row
-        now = time_ns
-        throttled = 0
-        if open_row == row:
-            # BankState.access row-hit branch, inlined.
-            outcome = "hit"
-            will_act = False
-            stats.row_hits += 1
-            busy = bank.busy_until
-            start = now if now >= busy else busy
-            bank.row_hits += 1
-            bank.busy_until = start + tBL
-            data_at_bank = start + timings.tCL
-            flips: List[BitFlip] = []
-        else:
-            will_act = True
-            if open_row is None:
-                outcome = "miss"
-                stats.row_misses += 1
-            else:
-                outcome = "conflict"
-                stats.row_conflicts += 1
-            for gate in self._act_gates:
-                throttled += gate(address, now, request.domain)
-            if throttled:
-                now += throttled
-                stats.throttle_stalls_ns += throttled
-            data_at_bank = bank.access(row, now)
-            flips = device._physical_activate(
-                address, data_at_bank, request.domain
-            )
-        bus = self._bus_busy_until
-        bus_free = bus[address.channel]
-        transfer_start = data_at_bank if data_at_bank > bus_free else bus_free
-        done = transfer_start + tBL
-        bus[address.channel] = done
-        if self.page_policy == "closed":
-            bank.precharge(data_at_bank)
-
-        trace = self.trace
-        if trace.enabled:
-            self._trace_access(
-                trace, address, request, outcome, open_row, will_act,
-                throttled, now, flips,
-            )
-        if will_act:
-            self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-        if request.is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        if request.is_dma:
-            stats.dma_requests += 1
-        stats.total_request_latency_ns += done - time_ns
-        if done > stats.busy_until_ns:
-            stats.busy_until_ns = done
-        return CompletedRequest(
-            request=request,
-            address=address,
-            ready_at_ns=done,
-            caused_act=will_act,
-            buffer_outcome=outcome,
-            throttled_ns=throttled,
-            flips=flips,
-        )
-
-    def submit_batch(
-        self, requests: List[MemoryRequest]
-    ) -> List[CompletedRequest]:
-        """Service a burst of requests in order.
-
-        Result-identical to calling :meth:`submit` once per request: the
-        per-request refresh guard is preserved so REF bursts land at
-        exactly the same points.  What the batch amortises is the Python
-        overhead — attribute lookups are hoisted, and the throughput
-        counters accumulate in locals and flush into :attr:`stats` once
-        after the burst (so mid-burst readers of those counters see the
-        pre-burst values; ACT-side effects still fire per request).
-        """
-        if not requests:
-            return []
-        device = self.device
-        banks = device.banks
-        tBL = device.timings.tBL
-        line_to_ddr = self.mapper.line_to_ddr
-        bus = self._bus_busy_until
-        gates = self._act_gates
-        closed = self.page_policy == "closed"
-        refresh_enabled = self.refresh_enabled
-        stats = self.stats
-        trace = self.trace
-        tracing = trace.enabled
-
-        reads = writes = dma = hits = misses = conflicts = 0
-        latency_ns = 0
-        busy_until = stats.busy_until_ns
-        completions: List[CompletedRequest] = []
-
-        for request in requests:
-            time_ns = request.time_ns
-            if refresh_enabled and self._next_ref_at <= time_ns:
-                self.advance_to(time_ns)
-            address = line_to_ddr(request.physical_line)
-            bank = banks[(address.channel, address.rank, address.bank)]
-            open_row = bank.open_row
-            if open_row == address.row:
-                outcome = "hit"
-                will_act = False
-            elif open_row is None:
-                outcome = "miss"
-                will_act = True
-            else:
-                outcome = "conflict"
-                will_act = True
-
-            now = time_ns
-            throttled = 0
-            if will_act and gates:
-                for gate in gates:
-                    throttled += gate(address, now, request.domain)
-                if throttled:
-                    now += throttled
-                    stats.throttle_stalls_ns += throttled
-
-            data_at_bank, flips = device.access_mapped(
-                bank, address, now, request.domain
-            )
-            bus_free = bus[address.channel]
-            transfer_start = (
-                data_at_bank if data_at_bank > bus_free else bus_free
-            )
-            done = transfer_start + tBL
-            bus[address.channel] = done
-            if closed:
-                bank.precharge(data_at_bank)
-
-            if tracing:
-                self._trace_access(
-                    trace, address, request, outcome, open_row, will_act,
-                    throttled, now, flips,
-                )
-            if will_act:
-                self._note_act(
-                address, done, request.physical_line,
-                request.domain, request.is_dma,
-            )
-
-            if request.is_write:
-                writes += 1
-            else:
-                reads += 1
-            if request.is_dma:
-                dma += 1
-            if outcome == "hit":
-                hits += 1
-            elif outcome == "miss":
-                misses += 1
-            else:
-                conflicts += 1
-            latency_ns += done - time_ns
-            if done > busy_until:
-                busy_until = done
-            completions.append(
-                CompletedRequest(
-                    request=request,
-                    address=address,
-                    ready_at_ns=done,
-                    caused_act=will_act,
-                    buffer_outcome=outcome,
-                    throttled_ns=throttled,
-                    flips=flips,
-                )
-            )
-
-        stats.reads += reads
-        stats.writes += writes
-        stats.dma_requests += dma
-        stats.row_hits += hits
-        stats.row_misses += misses
-        stats.row_conflicts += conflicts
-        stats.total_request_latency_ns += latency_ns
-        stats.busy_until_ns = busy_until
-        return completions
-
     @property
     def supports_chain(self) -> bool:
         """Whether :meth:`submit_chain` may service a hammer chain.
@@ -584,12 +372,12 @@ class MemoryController:
         if rest or unit * repeat != line_col:
             unit, repeat = line_col, 1
         distinct = list(dict.fromkeys(unit))
+        line_to_ddr = self.mapper.line_to_ddr
         bank_index_of = device._bank_index
         address_of = {}
         bank_of = {}
-        for line, address in zip(distinct,
-                                 self.mapper.lines_to_ddr_bulk(distinct)):
-            address_of[line] = address
+        for line in distinct:
+            address = address_of[line] = line_to_ddr(line)
             bank_of[line] = bank_index_of[
                 (address.channel, address.rank, address.bank)
             ]

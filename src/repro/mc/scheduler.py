@@ -65,28 +65,24 @@ class BatchScheduler:
                     replace(r, time_ns=r.time_ns + stall_ns)
                     for r in requests
                 ]
+        submit = controller.submit
         if self.policy == "fcfs":
-            return controller.submit_batch(list(requests))
+            return [submit(request) for request in requests]
         banks = controller.device.banks
         pending = list(requests)
-        # Translate the whole window up front (one bulk call instead of
-        # O(window²) scalar lookups across the scan rounds).  Safe: every
-        # scan is left-to-right over ``pending``, so a line's *first*
-        # translation happens in arrival order either way — lazy
-        # first-touch frame placement lands identically.  Bank open-row
-        # state is still read fresh in every round.
-        addresses = controller.mapper.lines_to_ddr_bulk(
-            [request.physical_line for request in pending]
-        )
-        # Pre-resolve each request's bank object and row so a scan round
-        # is a plain list walk (no per-element tuple construction or dict
-        # lookups); the lists are popped in lockstep with ``pending``.
-        bank_list = [
-            banks[(address.channel, address.rank, address.bank)]
-            for address in addresses
-        ]
-        row_list = [address.row for address in addresses]
-        submit_translated = controller._submit_translated
+        # Translate the window once, in arrival order: lazy first-touch
+        # frame placement follows arrival order whatever order the
+        # requests issue in.  Each scan round reads every bank's open
+        # row afresh.
+        line_to_ddr = controller.mapper.line_to_ddr
+        bank_list = []
+        row_list = []
+        for request in pending:
+            address = line_to_ddr(request.physical_line)
+            bank_list.append(
+                banks[(address.channel, address.rank, address.bank)]
+            )
+            row_list.append(address.row)
         completed: List[CompletedRequest] = []
         while pending:
             chosen_index = 0
@@ -96,9 +92,7 @@ class BatchScheduler:
                     break
             if chosen_index != 0:
                 self.reordered += 1
-            address = addresses.pop(chosen_index)
             bank_list.pop(chosen_index)
             row_list.pop(chosen_index)
-            request = pending.pop(chosen_index)
-            completed.append(submit_translated(request, address))
+            completed.append(submit(pending.pop(chosen_index)))
         return completed

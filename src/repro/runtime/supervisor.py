@@ -36,7 +36,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
 
 from repro.analysis.parallel import effective_workers, resolve_jobs
 from repro.analysis.stats import Number, ScenarioFn
@@ -221,7 +221,10 @@ class Supervisor:
             scenario = CapturedScenario(scenario)
         workers = effective_workers(resolve_jobs(jobs), len(seeds))
         if workers <= 1:
-            self._run_serial(scenario, seeds, outcome, on_result)
+            self._run_serial(
+                scenario, deque(seeds), {seed: 0 for seed in seeds},
+                outcome, on_result,
+            )
         else:
             self._run_pooled(scenario, seeds, workers, outcome, on_result)
         return outcome
@@ -233,18 +236,22 @@ class Supervisor:
     def _run_serial(
         self,
         scenario: ScenarioFn,
-        seeds: Sequence[int],
+        queue: Deque[int],
+        attempts: Dict[int, int],
         outcome: SupervisedOutcome,
         on_result: Optional[Callable[[int, Mapping[str, Number]], None]],
+        ready_at: Optional[Dict[int, float]] = None,
     ) -> None:
-        """In-process loop with the same retry budget (no timeouts: a
-        hung seed cannot be preempted without process isolation)."""
-        queue: Deque[int] = deque(
-            seed for seed in seeds if seed not in outcome.results
-        )
-        attempts: Dict[int, int] = {seed: 0 for seed in seeds}
+        """In-process loop over ``queue`` with the same retry budget (no
+        timeouts: a hung seed cannot be preempted without process
+        isolation).  ``ready_at`` holds the backoff gates a degraded
+        pool left behind; each seed waits out its own."""
         while queue:
             seed = queue.popleft()
+            if ready_at is not None:
+                gate = ready_at.get(seed, 0.0) - time.monotonic()
+                if gate > 0:
+                    time.sleep(gate)
             attempts[seed] += 1
             self._telemetry(SEED_STARTED, seed=seed, attempt=attempts[seed])
             try:
@@ -462,27 +469,9 @@ class Supervisor:
         """The pool keeps dying: finish the remaining seeds serially."""
         outcome.degraded = True
         self._count("serial_fallbacks")
-        remaining = list(queue)
-        queue.clear()
-        serial_queue: Deque[int] = deque(remaining)
-        while serial_queue:
-            seed = serial_queue.popleft()
-            gate = ready_at.get(seed, 0.0) - time.monotonic()
-            if gate > 0:
-                time.sleep(gate)
-            attempts[seed] += 1
-            self._telemetry(SEED_STARTED, seed=seed, attempt=attempts[seed])
-            try:
-                result = scenario(seed)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                self._requeue(
-                    seed, attempts, serial_queue, outcome,
-                    reason=f"error: {error!r}", sleep=True,
-                )
-                continue
-            self._complete(seed, result, outcome, on_result)
+        self._run_serial(
+            scenario, queue, attempts, outcome, on_result, ready_at
+        )
 
     # ------------------------------------------------------------------
     # Shared bookkeeping

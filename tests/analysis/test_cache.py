@@ -77,6 +77,24 @@ def test_entries_stats_prune_clear(tmp_path):
     assert cache.entries() == []
 
 
+def test_prune_removes_entries_of_other_code(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    current = cache.put(SPEC, 1, {"v": 1})
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.analysis.cache.source_digest", lambda: "0" * 64)
+        other = cache.put(SPEC, 1, {"v": 1})
+    # an entry stored before entries carried their source digest
+    unsourced = cache.put(SPEC, 2, {"v": 2})
+    payload = json.loads(unsourced.read_text())
+    del payload["source"]
+    unsourced.write_text(json.dumps(payload))
+    assert len(cache.entries()) == 3
+    assert cache.prune() == 2
+    assert current.exists()
+    assert not other.exists() and not unsourced.exists()
+    assert cache.get(SPEC, 1) == {"v": 1}
+
+
 # ----------------------------------------------------------------------
 # Campaign integration
 # ----------------------------------------------------------------------
@@ -134,7 +152,8 @@ def test_cache_cli_lifecycle(tmp_path, capsys):
     assert "BenignReplicationSpec" in capsys.readouterr().out
     assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
     assert "entries: 1" in capsys.readouterr().out
-    assert main(["cache", "prune", "--cache-dir", cache_dir]) == 2
+    assert main(["cache", "prune", "--cache-dir", cache_dir]) == 0
+    assert "pruned 0" in capsys.readouterr().out
     assert main(
         ["cache", "prune", "--cache-dir", cache_dir, "--max-entries", "0"]
     ) == 0

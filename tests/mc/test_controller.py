@@ -201,47 +201,3 @@ class TestPrimitiveBackends:
         other = DramGeometry(banks_per_rank=4)
         with pytest.raises(ValueError, match="geometries differ"):
             MemoryController(device, make_mapper("linear", other))
-
-
-class TestSubmitBatch:
-    """submit_batch must be result-identical to per-request submit."""
-
-    def _make_controller(self, geometry, scheme="cacheline-interleave"):
-        device = DramDevice(
-            geometry=geometry,
-            profile=DisturbanceProfile(mac=10, blast_radius=1),
-        )
-        return MemoryController(device, make_mapper(scheme, geometry))
-
-    def _request_mix(self, count=300):
-        # A deterministic mix of strides, rewrites, and DMA markers that
-        # exercises hits, misses, conflicts, and mid-burst refreshes.
-        requests = []
-        now = 0
-        for i in range(count):
-            now += (i * 13) % 97
-            requests.append(
-                MemoryRequest(
-                    time_ns=now,
-                    physical_line=(i * 37) % 2048,
-                    is_write=(i % 3 == 0),
-                    domain=i % 4,
-                    is_dma=(i % 11 == 0),
-                )
-            )
-        return requests
-
-    def test_batch_matches_sequential(self, geometry):
-        serial = self._make_controller(geometry)
-        batched = self._make_controller(geometry)
-        requests = self._request_mix()
-        one_by_one = [serial.submit(request) for request in requests]
-        in_batch = batched.submit_batch(list(requests))
-        assert in_batch == one_by_one
-        assert batched.stats == serial.stats
-        assert batched._next_ref_at == serial._next_ref_at
-
-    def test_empty_batch(self, geometry):
-        controller = self._make_controller(geometry)
-        assert controller.submit_batch([]) == []
-        assert controller.stats.reads == 0

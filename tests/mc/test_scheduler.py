@@ -62,6 +62,31 @@ class TestPolicies:
         assert results["fr-fcfs"] < results["fcfs"]
 
 
+class TestInterruptsInsideAWindow:
+    def test_handler_completion_outlasts_the_window(self):
+        # The window's last ACT overflows the counter, and the handler
+        # retires a read far later: busy_until_ns must keep that read.
+        system = build_system(legacy_platform(scale=64, act_threshold=8))
+        controller = system.controller
+        retired = []
+
+        def handler(interrupt):
+            late = MemoryRequest(10**7, physical_line=0)
+            retired.append(controller.submit(late).ready_at_ns)
+
+        controller.subscribe_interrupts(handler)
+        scheduler = BatchScheduler(controller, policy="fcfs")
+        completions = scheduler.issue(
+            [
+                MemoryRequest(0, physical_line=line)
+                for line in same_bank_lines(system, range(8))
+            ]
+        )
+        assert retired == [10_000_032]
+        assert completions[-1].ready_at_ns == 354
+        assert controller.stats.busy_until_ns == 10_000_032
+
+
 class TestSharedQueueRunner:
     def test_validation(self, system):
         with pytest.raises(ValueError):

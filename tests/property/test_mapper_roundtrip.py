@@ -1,14 +1,11 @@
-"""Round-trip and bulk-equivalence properties for every mapper subclass.
+"""Round-trip properties for every mapper subclass.
 
-Two properties over randomized geometries, uniformly for all four
-schemes (including the remapped :class:`PermutationInterleaving` and the
-stateful :class:`SubarrayIsolatedInterleaving`):
-
-* ``line_to_ddr`` → ``ddr_to_line`` → the same line, for any line the
-  forward map has produced;
-* ``lines_to_ddr_bulk`` (the table-driven bulk translator) equals
-  the memoised scalar path address-for-address, on a *fresh* mapper
-  each, so lazy first-touch placement order is exercised identically.
+Over randomized geometries, bank counts that are not a power of two
+included, uniformly for all four schemes (including the remapped
+:class:`PermutationInterleaving` and the stateful
+:class:`SubarrayIsolatedInterleaving`): ``line_to_ddr`` →
+``ddr_to_line`` → the same line, for any line the forward map has
+produced, also after the stateful scheme releases and re-places frames.
 """
 
 import pytest
@@ -26,7 +23,7 @@ geometries = st.builds(
     DramGeometry,
     channels=st.sampled_from([1, 2]),
     ranks_per_channel=st.sampled_from([1, 2]),
-    banks_per_rank=st.sampled_from([2, 4, 8]),
+    banks_per_rank=st.sampled_from([2, 3, 4, 6, 8]),
     subarrays_per_bank=st.sampled_from([2, 4]),
     rows_per_subarray=st.sampled_from([8, 16]),
     columns_per_row=st.sampled_from([16, 32, 64]),
@@ -63,23 +60,6 @@ def test_roundtrip_for_every_scheme(scheme, geometry, data):
     for line in _sample_lines(mapper, data):
         address = mapper.line_to_ddr(line)
         assert mapper.ddr_to_line(address) == line
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-@given(geometry=geometries, data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_bulk_matches_scalar_for_every_scheme(scheme, geometry, data):
-    scalar_mapper = _build(scheme, geometry)
-    if scalar_mapper is None:
-        return
-    bulk_mapper = make_mapper(scheme, geometry)
-    lines = _sample_lines(scalar_mapper, data)
-    scalar = [scalar_mapper.line_to_ddr(line) for line in lines]
-    bulk = bulk_mapper.lines_to_ddr_bulk(lines)
-    assert bulk == scalar
-    # and the bulk path round-trips through the *same* mapper instance
-    for line, address in zip(lines, bulk):
-        assert bulk_mapper.ddr_to_line(address) == line
 
 
 @given(geometry=geometries, data=st.data())
