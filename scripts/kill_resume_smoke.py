@@ -77,7 +77,7 @@ def main(argv=None) -> int:
         return 1
 
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "campaign.jsonl"
+        journal = Path(tmp) / "campaign.journal"
         print("[2/3] campaign with journal, SIGKILL partway...",
               flush=True)
         process = subprocess.Popen(

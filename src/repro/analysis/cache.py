@@ -123,10 +123,10 @@ class CacheEntry:
 class ResultCache:
     """Content-addressed store of per-seed replication results.
 
-    ``hits``/``misses`` count this instance's lookups (they feed the
-    ``runtime.cache_hit``/``runtime.cache_miss`` metrics when a campaign
-    owns the cache); the on-disk store itself is shared by every
-    version of the code, each under its own keys.
+    ``hits``/``misses`` count this instance's lookups (a campaign's
+    hits are also its ``CampaignResult.cache_hits`` and the journal's
+    cached lines); the on-disk store itself is shared by every version
+    of the code, each under its own keys.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:

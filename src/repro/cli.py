@@ -21,6 +21,7 @@ from repro.analysis.validation import VALIDATIONS
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.report import DocumentError, registry, render_document
 from repro.analysis.scenarios import build_scenario, run_attack
+from repro.analysis.stats import merge_replications
 from repro.attacks.patterns import PATTERN_NAMES
 from repro.core.primitives import PrimitiveSet
 from repro.defenses.registry import DEFENSE_BY_NAME, apply_build_overrides
@@ -204,17 +205,38 @@ def _cmd_cache(args) -> int:
 EXIT_INTERRUPTED = 130
 
 
+def _plural(count: int, noun: str) -> str:
+    return f"{count} {noun}{'s' if count != 1 else ''}"
+
+
+def _seed_list(seeds: Sequence[int], limit: int = 8) -> str:
+    """The first ``limit`` seeds, comma-separated, ``...`` after more."""
+    shown = ", ".join(str(s) for s in seeds[:limit])
+    return shown + ("..." if len(seeds) > limit else "")
+
+
+def _print_aggregates(seeds: Sequence[int], completed) -> None:
+    """A campaign's aggregate lines, complete or partial, in seed
+    order: what ``replicate`` prints and ``status`` re-prints."""
+    runs = [completed[s] for s in seeds if s in completed]
+    if not runs:
+        print("  (no seeds completed)")
+        return
+    if len(runs) != len(seeds):
+        print(f"  (partial: {len(runs)}/{len(seeds)} seeds)")
+    for aggregate in merge_replications(runs).values():
+        print(f"  {aggregate.describe()}")
+
+
 def _print_campaign(experiment: str, result, workers: int) -> None:
     """Render a campaign outcome (complete or partial)."""
-    done = len([s for s in result.seeds if s in result.completed])
     print(f"{experiment} x {len(result.seeds)} seeds "
-          f"({workers} worker{'s' if workers != 1 else ''}):")
+          f"({_plural(workers, 'worker')}):")
     if result.resumed:
-        print(f"  [resumed: {result.resumed} seed"
-              f"{'s' if result.resumed != 1 else ''} from journal]")
+        print(f"  [resumed: {_plural(result.resumed, 'seed')} from journal]")
     if result.cache_hits:
-        print(f"  [cached: {result.cache_hits} seed"
-              f"{'s' if result.cache_hits != 1 else ''} from result cache]")
+        print(f"  [cached: {_plural(result.cache_hits, 'seed')} "
+              f"from result cache]")
     if result.retries or result.respawns or result.degraded:
         notes = []
         if result.retries:
@@ -224,14 +246,7 @@ def _print_campaign(experiment: str, result, workers: int) -> None:
         if result.degraded:
             notes.append("degraded to serial")
         print(f"  [recovered: {', '.join(notes)}]")
-    aggregates = result.aggregates
-    if aggregates is None:
-        print("  (no seeds completed)")
-        return
-    if done != len(result.seeds):
-        print(f"  (partial: {done}/{len(result.seeds)} seeds)")
-    for aggregate in aggregates.values():
-        print(f"  {aggregate.describe()}")
+    _print_aggregates(result.seeds, result.completed)
 
 
 def _cmd_replicate(args) -> int:
@@ -268,21 +283,22 @@ def _cmd_replicate(args) -> int:
             print(f"repro replicate: error: {error}", file=sys.stderr)
             return 2
         seeds = list(header.seeds)
-        experiment = header.experiment or type(spec).__name__
+        experiment = header.experiment  # part of the fingerprint
         journal_path, resume = args.resume, True
     else:
         if args.experiment is None:
             print("repro replicate: error: an experiment is required "
                   "unless --resume is given", file=sys.stderr)
             return 2
-        spec = dataclasses.replace(
-            REPLICATION_SPECS[args.experiment.upper()], scale=args.scale
-        )
+        spec = REPLICATION_SPECS[args.experiment.upper()]
+        if args.scale is not None:
+            spec = dataclasses.replace(spec, scale=args.scale)
         seeds = [args.seed_base + i for i in range(args.seeds)]
         experiment = args.experiment.upper()
         journal_path, resume = args.journal, False
 
     workers = effective_workers(jobs, len(seeds))
+    label = experiment or type(spec).__name__
     try:
         result = run_campaign(
             spec, seeds, jobs=jobs, policy=policy,
@@ -295,12 +311,10 @@ def _cmd_replicate(args) -> int:
     except CampaignInterrupted as interrupt:
         partial = interrupt.partial
         print()
-        _print_campaign(experiment, partial, workers)
+        _print_campaign(label, partial, workers)
         missing = partial.incomplete_seeds
-        print(f"interrupted with {len(missing)} seed"
-              f"{'s' if len(missing) != 1 else ''} incomplete: "
-              f"{', '.join(str(s) for s in missing[:8])}"
-              f"{'...' if len(missing) > 8 else ''}", file=sys.stderr)
+        print(f"interrupted with {_plural(len(missing), 'seed')} "
+              f"incomplete: {_seed_list(missing)}", file=sys.stderr)
         if interrupt.journal_path is not None:
             print(f"resume with: python -m repro replicate "
                   f"--resume {interrupt.journal_path}", file=sys.stderr)
@@ -313,7 +327,7 @@ def _cmd_replicate(args) -> int:
               file=sys.stderr)
         return EXIT_INTERRUPTED
 
-    _print_campaign(experiment, result, workers)
+    _print_campaign(label, result, workers)
     if not result.complete:
         for failure in result.failures.values():
             print(f"seed {failure.seed} failed after {failure.attempts} "
@@ -327,12 +341,7 @@ def _cmd_replicate(args) -> int:
 
 def _status_directory(args) -> int:
     """Deterministic multi-campaign table for a directory of journals."""
-    from repro.runtime import (
-        JournalError,
-        load_journal,
-        read_telemetry,
-        telemetry_path,
-    )
+    from repro.runtime import JournalError, load_journal
 
     directory = Path(args.journal)
     journals = sorted(directory.glob("*.journal"))
@@ -351,30 +360,20 @@ def _status_directory(args) -> int:
                   f"{'-':>9s}  {'-':>6s}  {'-':>7s}  ({error})")
             continue
         header = snapshot.header
-        done = sum(1 for s in header.seeds if s in snapshot.completed)
+        done = len(snapshot.completed)
         total = len(header.seeds)
-        cached = 0
-        eta = None
-        finished = False
-        for event in read_telemetry(telemetry_path(journal)):
-            if event.kind == "seed_cached":
-                cached += 1
-            elif event.kind == "seed_finished":
-                value = event.data.get("eta_s")
-                if value is not None:
-                    eta = value
-            elif event.kind == "campaign_finished":
-                finished = True
         if done == total:
             state = "done"
-        elif finished:
-            state = "stopped"
+        elif snapshot.failures:
+            state = "failed"
         else:
             state = "running"
-        eta_cell = "-" if (eta is None or done == total) else f"{eta}"
+        eta = snapshot.eta_s
+        eta_cell = "-" if eta is None else f"{eta:.1f}"
         name = header.experiment or journal.stem
         print(f"{name:24.24s}  {header.fingerprint:16.16s}  {state:8s}  "
-              f"{done:4d}/{total:<4d}  {cached:6d}  {eta_cell:>7s}")
+              f"{done:4d}/{total:<4d}  {len(snapshot.cached):6d}  "
+              f"{eta_cell:>7s}")
         rows += 1
     return 0 if rows else 2
 
@@ -382,13 +381,7 @@ def _status_directory(args) -> int:
 def _cmd_status(args) -> int:
     import os
 
-    from repro.runtime import (
-        JournalError,
-        load_journal,
-        read_telemetry,
-        telemetry_path,
-    )
-    from repro.runtime.telemetry import merge_metric_snapshots
+    from repro.runtime import JournalError, load_journal, merge_metric_snapshots
 
     if os.path.isdir(args.journal):
         return _status_directory(args)
@@ -398,73 +391,40 @@ def _cmd_status(args) -> int:
         print(f"repro status: error: {error}", file=sys.stderr)
         return 2
     header = snapshot.header
-    events = read_telemetry(telemetry_path(args.journal))
-
-    started: set = set()
-    in_flight: set = set()
-    retried_seeds: set = set()
-    failed_seeds: set = set()
-    retries = cached = 0
-    last_eta = None
-    first_ns = last_ns = None
-    runtime_metrics = {}
-    for event in events:
-        if first_ns is None:
-            first_ns = event.time_ns
-        last_ns = event.time_ns
-        if event.kind == "campaign_finished":
-            runtime_metrics = dict(event.data.get("runtime") or {})
-            continue
-        seed = event.data.get("seed")
-        if event.kind == "seed_started":
-            started.add(seed)
-            in_flight.add(seed)
-        elif event.kind == "seed_finished":
-            in_flight.discard(seed)
-            eta = event.data.get("eta_s")
-            if eta is not None:
-                last_eta = eta
-        elif event.kind == "seed_retried":
-            in_flight.discard(seed)
-            retried_seeds.add(seed)
-            retries += 1
-        elif event.kind == "seed_failed":
-            in_flight.discard(seed)
-            failed_seeds.add(seed)
-        elif event.kind == "seed_cached":
-            cached += 1
-
-    done = [s for s in header.seeds if s in snapshot.completed]
+    seeds = header.seeds
+    pending = snapshot.pending()
+    retries = snapshot.retries
     title = header.experiment or "campaign"
     print(f"{title} campaign ({header.fingerprint}): "
-          f"{len(done)}/{len(header.seeds)} seeds done")
-    print(f"  in-flight: {len(in_flight)}"
-          + (f" ({', '.join(str(s) for s in sorted(in_flight))})"
-             if in_flight else ""))
-    print(f"  retried:   {len(retried_seeds)} seed"
-          f"{'s' if len(retried_seeds) != 1 else ''} "
-          f"({retries} retries)")
-    print(f"  failed:    {len(failed_seeds)}")
-    print(f"  cached:    {cached}")
-    if last_eta is not None and len(done) < len(header.seeds):
-        print(f"  ETA:       {last_eta} s")
-
+          f"{len(snapshot.completed)}/{len(seeds)} seeds done")
+    print(f"  pending:   {len(pending)}"
+          + (f" ({_seed_list(pending)})" if pending else ""))
+    print(f"  retried:   {_plural(len(retries), 'seed')} "
+          f"({sum(retries.values())} retries)")
+    print(f"  failed:    {len(snapshot.failures)}")
+    for seed in seeds:
+        failure = snapshot.failures.get(seed)
+        if failure is not None:
+            print(f"    seed {seed} after "
+                  f"{_plural(failure.attempts, 'attempt')}: {failure.reason}")
+    print(f"  cached:    {len(snapshot.cached)}")
+    elapsed = snapshot.elapsed_s
+    if elapsed is not None:
+        print(f"  elapsed:   {elapsed:.1f} s")
+    if snapshot.eta_s is not None:
+        print(f"  ETA:       {snapshot.eta_s:.1f} s")
     merged = merge_metric_snapshots(
-        [snapshot.worker_metrics[s] for s in header.seeds
+        [snapshot.worker_metrics[s] for s in seeds
          if s in snapshot.worker_metrics]
-    ) if snapshot.worker_metrics else {}
-    for key, value in runtime_metrics.items():
-        merged.setdefault(key, value)
+    )
     requests = merged.get("mc.reads", 0) + merged.get("mc.writes", 0)
-    if requests and first_ns is not None and last_ns is not None \
-            and last_ns > first_ns:
-        rate = requests / ((last_ns - first_ns) / 1e9)
-        print(f"  req/s:     {rate:,.0f} "
+    if requests and elapsed:
+        print(f"  req/s:     {requests / elapsed:,.0f} "
               f"(simulated requests over campaign wall clock)")
+    _print_aggregates(seeds, snapshot.completed)
     if merged:
-        print(f"  merged metrics ({len(snapshot.worker_metrics)} seed "
-              f"snapshot"
-              f"{'s' if len(snapshot.worker_metrics) != 1 else ''}):")
+        print(f"  merged metrics "
+              f"({_plural(len(snapshot.worker_metrics), 'seed snapshot')}):")
         for key in sorted(merged):
             value = merged[key]
             shown = f"{value:.4g}" if isinstance(value, float) else value
@@ -484,9 +444,9 @@ def _cmd_trace(args) -> int:
     from repro.dram.presets import by_name
     from repro.obs import JsonlSink, SamplingSink, observe
 
-    spec = dataclasses.replace(
-        REPLICATION_SPECS[args.experiment.upper()], scale=args.scale
-    )
+    spec = REPLICATION_SPECS[args.experiment.upper()]
+    if args.scale is not None:
+        spec = dataclasses.replace(spec, scale=args.scale)
     if isinstance(spec, AttackReplicationSpec) and not args.no_arm:
         # Platforms ship with ACT counters effectively off (threshold
         # 1<<20); a trace whose interrupt timeline is empty by
@@ -613,20 +573,7 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.campaign is not None:
-        from repro.runtime import JournalError, write_run_report
-
-        try:
-            json_path, md_path = write_run_report(
-                args.campaign, args.output
-            )
-        except JournalError as error:
-            print(f"repro report: error: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {json_path}", file=sys.stderr)
-        print(f"wrote {md_path}", file=sys.stderr)
-        return 0
-    path = Path(args.output or "EXPERIMENTS.md")
+    path = Path(args.output)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as error:
@@ -697,15 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-render every experiment block of EXPERIMENTS.md in place",
     )
     report_parser.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="document to re-render (default: EXPERIMENTS.md); with "
-             "--campaign, the base path of the run report",
-    )
-    report_parser.add_argument(
-        "--campaign", default=None, metavar="JOURNAL",
-        help="instead of running experiments, write the deterministic "
-             "end-of-campaign run report (JSON + markdown) for this "
-             "journal and its telemetry sidecar",
+        "-o", "--output", default="EXPERIMENTS.md", metavar="PATH",
+        help="document to re-render (default: EXPERIMENTS.md)",
     )
 
     replicate_parser = sub.add_parser(
@@ -730,7 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="worker processes (default: REPRO_JOBS env or CPU count)",
     )
-    replicate_parser.add_argument("--scale", type=int, default=64)
+    replicate_parser.add_argument(
+        "--scale", type=int, default=None,
+        help="scale factor (default: the experiment's own)",
+    )
     replicate_parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="journal per-seed results here (crash-safe; enables "
@@ -766,7 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL file to write (default: trace.jsonl)",
     )
     trace_parser.add_argument("--seed", type=int, default=101)
-    trace_parser.add_argument("--scale", type=int, default=64)
+    trace_parser.add_argument(
+        "--scale", type=int, default=None,
+        help="scale factor (default: the experiment's own)",
+    )
     trace_parser.add_argument(
         "--sample-ns", type=int, default=None,
         help="also sample the counter registry every N sim-ns",
@@ -843,9 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     status_parser = sub.add_parser(
         "status",
-        help="inspect a campaign journal and its telemetry sidecar "
-             "(read-only: safe while the campaign is still running); "
-             "point it at a directory for a multi-campaign table",
+        help="inspect a campaign journal (read-only: safe while the "
+             "campaign is still running); point it at a directory for "
+             "a multi-campaign table",
     )
     status_parser.add_argument(
         "journal",

@@ -19,21 +19,17 @@ from repro.obs.events import (
     ACT,
     ACT_INTERRUPT,
     BIT_FLIP,
-    CAMPAIGN_RESUME,
     EVENT_KINDS,
     FAULT_INJECTED,
     HANDLER_ERROR,
     INVARIANT_VIOLATION,
     NEIGHBOR_REFRESH,
-    POOL_RESPAWN,
     ROW_CONFLICT,
     SCHED_BATCH,
     TARGETED_REFRESH,
-    TELEMETRY_KINDS,
     THROTTLE_STALL,
     TraceEvent,
     UNCORE_MOVE,
-    WORKER_RETRY,
 )
 from repro.obs.inspect import TraceSummary, render_summary, summarize_events
 from repro.obs.registry import MetricsRegistry
@@ -54,7 +50,6 @@ __all__ = [
     "ACT",
     "ACT_INTERRUPT",
     "BIT_FLIP",
-    "CAMPAIGN_RESUME",
     "CountingSink",
     "EVENT_KINDS",
     "FAULT_INJECTED",
@@ -65,13 +60,11 @@ __all__ = [
     "NEIGHBOR_REFRESH",
     "NullSink",
     "Observability",
-    "POOL_RESPAWN",
     "ROW_CONFLICT",
     "RingBufferSink",
     "SCHED_BATCH",
     "SamplingSink",
     "TARGETED_REFRESH",
-    "TELEMETRY_KINDS",
     "THROTTLE_STALL",
     "TimeSeries",
     "TimeSeriesSampler",
@@ -79,7 +72,6 @@ __all__ = [
     "TraceEvent",
     "TraceSummary",
     "UNCORE_MOVE",
-    "WORKER_RETRY",
     "iter_jsonl",
     "observe",
     "read_jsonl",

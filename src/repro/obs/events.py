@@ -24,23 +24,11 @@ kind                      emitted when
 ``fault_injected``        the fault plane perturbed a hardware behaviour
 ``invariant_violation``   an invariant checker caught an inconsistency
 ``handler_error``         a host-OS interrupt handler raised an exception
-``worker_retry``          the campaign supervisor requeued a failed seed
-``pool_respawn``          the supervisor replaced a broken worker pool
-``campaign_resume``       a campaign continued from an on-disk journal
-``cache_hit``             a seed's result came from the result cache
-``campaign_started``      a supervised campaign began mapping seeds
-``seed_started``          a seed was handed to a worker (or serial attempt)
-``seed_finished``         a seed's result was delivered and journaled
-``seed_retried``          a seed burned an attempt and was requeued
-``seed_failed``           a seed exhausted its retry budget
-``seed_cached``           a seed was satisfied from the result cache
-``campaign_finished``     the supervised map over all seeds returned
 ========================  ====================================================
 
-The ``worker_retry``..``cache_hit`` block and the whole
-``campaign_*``/``seed_*`` family are *harness* events: they come from
-the :mod:`repro.runtime` supervisor, not the simulated platform, so
-their ``time_ns`` is wall-clock nanoseconds rather than simulated time.
+Every event's ``time_ns`` is simulated time.  A campaign's own
+lifecycle (attempts, failures, cached seeds, wall-clock times) is not
+traced: it lives in the campaign journal (:mod:`repro.runtime.journal`).
 """
 
 from __future__ import annotations
@@ -60,28 +48,6 @@ SCHED_BATCH = "sched_batch"
 FAULT_INJECTED = "fault_injected"
 INVARIANT_VIOLATION = "invariant_violation"
 HANDLER_ERROR = "handler_error"
-WORKER_RETRY = "worker_retry"
-POOL_RESPAWN = "pool_respawn"
-CAMPAIGN_RESUME = "campaign_resume"
-CACHE_HIT = "cache_hit"
-CAMPAIGN_STARTED = "campaign_started"
-SEED_STARTED = "seed_started"
-SEED_FINISHED = "seed_finished"
-SEED_RETRIED = "seed_retried"
-SEED_FAILED = "seed_failed"
-SEED_CACHED = "seed_cached"
-CAMPAIGN_FINISHED = "campaign_finished"
-
-#: the campaign-telemetry vocabulary, in lifecycle order
-TELEMETRY_KINDS = (
-    CAMPAIGN_STARTED,
-    SEED_STARTED,
-    SEED_FINISHED,
-    SEED_RETRIED,
-    SEED_FAILED,
-    SEED_CACHED,
-    CAMPAIGN_FINISHED,
-)
 
 #: every kind the simulator emits, in documentation order
 EVENT_KINDS = (
@@ -97,11 +63,7 @@ EVENT_KINDS = (
     FAULT_INJECTED,
     INVARIANT_VIOLATION,
     HANDLER_ERROR,
-    WORKER_RETRY,
-    POOL_RESPAWN,
-    CAMPAIGN_RESUME,
-    CACHE_HIT,
-) + TELEMETRY_KINDS
+)
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,9 @@ class JsonlSink:
     mid-file corruption.  The stream is block-buffered (per-line
     flushing costs a syscall per event), so a kill can
     also lose recently buffered complete lines; ``close`` flushes and
-    fsyncs so a clean shutdown is durable on disk.  Live tailing goes
-    through the campaign telemetry stream, which flushes per record —
-    not through trace sinks.
+    fsyncs so a clean shutdown is durable on disk.  Watching a campaign
+    live goes through its journal, which fsyncs per line — not through
+    trace sinks.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -162,7 +162,7 @@ class SamplingSink:
     where ``phase = seed % every`` — same seed, same trace, always.  A
     kept ACT keeps its satellite ``row_conflict``/``throttle_stall``
     events; **every other kind passes through unsampled** (``bit_flip``
-    is ground truth, harness events are rare).
+    is ground truth, the others are rare).
     """
 
     def __init__(

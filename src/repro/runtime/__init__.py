@@ -4,9 +4,10 @@ The simulator's evidence base is long seeded replication campaigns, and
 a bare process-pool fan-out loses every completed seed to one worker
 crash, OOM kill, or Ctrl-C.  This package is the one fan-out, hardened:
 
-* :mod:`repro.runtime.journal`    — crash-safe per-seed result journal
-  (fsync'd JSONL, schema-versioned header keyed on a campaign
-  fingerprint of spec + seeds);
+* :mod:`repro.runtime.journal`    — the crash-safe per-seed journal, the
+  one on-disk record of a campaign (fsync'd JSONL, schema-versioned
+  header keyed on a campaign fingerprint of spec + seeds; result and
+  failure lines carry attempts and wall-clock times);
 * :mod:`repro.runtime.supervisor` — supervised pool map with per-task
   timeouts, bounded deterministic-backoff retry, ``BrokenProcessPool``
   respawn, and graceful degradation to a serial path;
@@ -14,14 +15,16 @@ crash, OOM kill, or Ctrl-C.  This package is the one fan-out, hardened:
   :func:`run_campaign`, whose ``resume=True`` skips journaled seeds and
   merges to aggregates bit-identical to an uninterrupted run.
 
-``python -m repro replicate --journal/--resume`` is the CLI surface;
-``docs/RESILIENCE.md`` documents the journal format and the recovery
-ladder.
+``python -m repro replicate --journal/--resume`` is the CLI surface and
+``python -m repro status`` renders a journal; ``docs/RESILIENCE.md``
+documents the journal format and the recovery ladder.
 """
 
 from repro.runtime.campaign import (
     CampaignInterrupted,
     CampaignResult,
+    CapturedScenario,
+    merge_metric_snapshots,
     rebuild_from_signature,
     rebuild_spec,
     run_campaign,
@@ -32,30 +35,17 @@ from repro.runtime.journal import (
     CampaignJournal,
     JournalError,
     JournalSnapshot,
+    SeedFailure,
     campaign_fingerprint,
     load_journal,
     peek_header,
     spec_signature,
 )
-from repro.runtime.report import (
-    build_run_report,
-    render_run_report,
-    summarize_telemetry,
-    write_run_report,
-)
 from repro.runtime.supervisor import (
-    SeedFailure,
     SupervisedOutcome,
     Supervisor,
     SupervisorPolicy,
     backoff_delay,
-)
-from repro.runtime.telemetry import (
-    CampaignTelemetry,
-    CapturedScenario,
-    merge_metric_snapshots,
-    read_telemetry,
-    telemetry_path,
 )
 
 __all__ = [
@@ -63,7 +53,6 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignJournal",
     "CampaignResult",
-    "CampaignTelemetry",
     "CapturedScenario",
     "JournalError",
     "JournalSnapshot",
@@ -73,18 +62,12 @@ __all__ = [
     "Supervisor",
     "SupervisorPolicy",
     "backoff_delay",
-    "build_run_report",
     "campaign_fingerprint",
     "load_journal",
     "merge_metric_snapshots",
     "peek_header",
-    "read_telemetry",
     "rebuild_from_signature",
     "rebuild_spec",
-    "render_run_report",
     "run_campaign",
     "spec_signature",
-    "summarize_telemetry",
-    "telemetry_path",
-    "write_run_report",
 ]

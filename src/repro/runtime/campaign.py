@@ -6,7 +6,8 @@ already done) to the :class:`~repro.runtime.supervisor.Supervisor` (how
 the rest gets done):
 
 * a fresh campaign journals every per-seed result the moment a worker
-  delivers it;
+  delivers it, with the worker's registry snapshot and attempt count,
+  and every seed that exhausts its retries as a failure line;
 * ``resume=True`` reloads the journal, verifies its fingerprint against
   the requested spec + seeds, skips completed seeds, and merges old and
   new results **in seed order** — so the aggregates are bit-identical
@@ -37,31 +38,17 @@ from repro.analysis.stats import (
     ScenarioFn,
     merge_replications,
 )
-from repro.obs.events import (
-    CACHE_HIT,
-    CAMPAIGN_FINISHED,
-    CAMPAIGN_RESUME,
-    CAMPAIGN_STARTED,
-    SEED_CACHED,
-)
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TraceBus
 from repro.runtime.journal import (
     CampaignHeader,
     CampaignJournal,
     JournalError,
+    SeedFailure,
     campaign_fingerprint,
 )
 from repro.runtime.supervisor import (
-    SeedFailure,
     SupervisedOutcome,
     Supervisor,
     SupervisorPolicy,
-)
-from repro.runtime.telemetry import (
-    CampaignTelemetry,
-    merge_metric_snapshots,
-    telemetry_path,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,11 +62,11 @@ class CampaignResult:
     seeds: List[int]
     completed: Dict[int, Mapping[str, Number]]
     failures: Dict[int, SeedFailure] = field(default_factory=dict)
-    #: per-seed worker registry snapshots (``capture_metrics`` runs;
-    #: cached seeds have none — their workers never ran)
+    #: per-seed worker registry snapshots (cached seeds have none —
+    #: their workers never ran)
     worker_metrics: Dict[int, Dict[str, Number]] = field(default_factory=dict)
-    #: campaign-level metrics: worker snapshots merged in seed order
-    #: (ints sum, floats average) plus the supervisor's ``runtime.*``
+    #: the worker snapshots merged in seed order (ints sum, floats
+    #: average): the campaign's ``mc.*``/``cache.*``/``defense.*`` totals
     metrics: Dict[str, Number] = field(default_factory=dict)
     #: seeds skipped because the journal already had their results
     resumed: int = 0
@@ -128,6 +115,65 @@ class CampaignInterrupted(KeyboardInterrupt):
         super().__init__("campaign interrupted")
 
 
+class CapturedScenario:
+    """Picklable wrapper: run one seed, ship its metrics back too.
+
+    ``scenario(seed)`` normally returns a flat result mapping and throws
+    its systems — registries and all — away.  The wrapper opens an
+    ambient :func:`~repro.obs.runtime.observe` block (which registers
+    every system built inside, configuring nothing), runs the scenario,
+    and returns ``{"result": ..., "metrics": ...}`` where ``metrics`` is
+    the merged registry snapshot of those systems.  Exceptions pass
+    through untouched so the supervisor's retry ladder sees them as
+    usual.
+    """
+
+    __slots__ = ("scenario",)
+
+    def __init__(self, scenario: ScenarioFn) -> None:
+        self.scenario = scenario
+
+    def __getstate__(self):
+        return self.scenario
+
+    def __setstate__(self, state) -> None:
+        self.scenario = state
+
+    def __call__(self, seed: int) -> Dict[str, object]:
+        from repro.obs.runtime import observe
+
+        with observe() as session:
+            result = self.scenario(seed)
+        metrics = merge_metric_snapshots(
+            [system.obs.metrics.snapshot() for system in session.systems]
+        )
+        return {"result": result, "metrics": metrics}
+
+
+def merge_metric_snapshots(
+    snapshots: Sequence[Mapping[str, Number]],
+) -> Dict[str, Number]:
+    """Fold registry snapshots into one map: ints sum, floats average.
+
+    Integer counters (ACTs, fallbacks, cache hits) are totals, so they
+    add; float gauges (hit rates, average latencies) are already
+    normalized, so they mean over the snapshots that carry them.  The
+    result has every key any snapshot has, and the fold is
+    deterministic in ``snapshots`` order.
+    """
+    values: Dict[str, List[Number]] = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            values.setdefault(key, []).append(value)
+    merged: Dict[str, Number] = {}
+    for key, samples in values.items():
+        if any(isinstance(sample, float) for sample in samples):
+            merged[key] = sum(samples) / len(samples)
+        else:
+            merged[key] = sum(samples)
+    return merged
+
+
 def run_campaign(
     spec: ScenarioFn,
     seeds: Sequence[int],
@@ -136,10 +182,7 @@ def run_campaign(
     journal_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     experiment: str = "",
-    trace: Optional[TraceBus] = None,
-    metrics: Optional[MetricsRegistry] = None,
     cache: Optional["ResultCache"] = None,
-    capture_metrics: bool = True,
 ) -> CampaignResult:
     """Run (or resume) one campaign under supervision.
 
@@ -147,20 +190,16 @@ def run_campaign(
     must match ``(spec, seeds, experiment)`` or :class:`JournalError` is
     raised rather than silently mixing campaigns.
 
-    With a ``cache``, seeds the cache already holds are journaled and
-    counted as ``runtime.cache_hit`` (with a ``cache_hit`` trace event
-    each) before the supervisor schedules anything; only misses reach
-    the worker pool, and their fresh results are stored on delivery.
-    Cached seeds bypass the supervisor entirely, so they can neither
-    time out nor retry — a fully warm campaign forks no workers.
+    Every seed runs inside :class:`CapturedScenario`, so each worker's
+    registry snapshot comes back with its result, rides on its journal
+    line and merges into ``CampaignResult.metrics``.
 
-    A journaled campaign additionally streams lifecycle telemetry to
-    the ``<journal>.telemetry`` sidecar (``python -m repro status``
-    reads it live), and ``capture_metrics=True`` ships each worker's
-    registry snapshot back with its result: snapshots ride on the
-    journal records and merge into ``CampaignResult.metrics``.  Cached
-    and previously-journaled-without-metrics seeds contribute no
-    snapshot (their workers never ran under capture).
+    With a ``cache``, seeds the cache already holds are journaled as
+    cached (and counted in ``cache_hits``) before the supervisor
+    schedules anything; only misses reach the worker pool, and their
+    fresh results are stored on delivery.  Cached seeds bypass the
+    supervisor entirely, so they can neither time out nor retry — a
+    fully warm campaign forks no workers.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
@@ -168,7 +207,6 @@ def run_campaign(
     fingerprint = campaign_fingerprint(spec, seeds, experiment)
 
     journal: Optional[CampaignJournal] = None
-    telemetry: Optional[CampaignTelemetry] = None
     completed: Dict[int, Mapping[str, Number]] = {}
     worker_metrics: Dict[int, Dict[str, Number]] = {}
     resumed = 0
@@ -184,31 +222,8 @@ def run_campaign(
             journal = CampaignJournal.create(
                 journal_path, spec, seeds, experiment
             )
-        telemetry = CampaignTelemetry(
-            telemetry_path(journal_path), append=resume
-        )
     elif resume:
         raise JournalError("resume requested without a journal path")
-
-    supervisor = Supervisor(
-        policy=policy, trace=trace, metrics=metrics,
-        fingerprint=fingerprint, telemetry=telemetry,
-    )
-    if resumed:
-        supervisor._count("seeds_resumed", resumed)
-        supervisor._emit(
-            CAMPAIGN_RESUME,
-            fingerprint=fingerprint,
-            completed=resumed,
-            remaining=len(seeds) - resumed,
-        )
-    supervisor._telemetry(
-        CAMPAIGN_STARTED,
-        fingerprint=fingerprint,
-        experiment=experiment,
-        seeds=len(seeds),
-        resumed=resumed,
-    )
 
     cache_hits = 0
     use_cache = False
@@ -223,108 +238,56 @@ def run_campaign(
                 continue
             hit = cache.get(spec, seed)
             if hit is None:
-                supervisor._count("cache_miss")
                 continue
             completed[seed] = hit
             if journal is not None:
-                journal.record(seed, hit)
+                journal.record(seed, hit, cached=True)
             cache_hits += 1
-            supervisor._count("cache_hit")
-            supervisor._emit(
-                CACHE_HIT, fingerprint=fingerprint, seed=seed
-            )
-            supervisor._telemetry(SEED_CACHED, seed=seed)
 
-    def on_result(
-        seed: int,
-        result: Mapping[str, Number],
-        snapshot: Optional[Mapping[str, Number]] = None,
-    ) -> None:
+    def on_result(seed: int, envelope, attempts: int) -> None:
+        # the CapturedScenario envelope: the result and its metrics
+        result, metrics = envelope["result"], envelope["metrics"]
         completed[seed] = result
-        if snapshot is not None:
-            worker_metrics[seed] = dict(snapshot)
+        worker_metrics[seed] = metrics
         if journal is not None:
-            journal.record(seed, result, metrics=snapshot)
+            journal.record(seed, result, metrics=metrics, attempts=attempts)
         if use_cache:
             assert cache is not None
             cache.put(spec, seed, result)
 
-    def finish(outcome: SupervisedOutcome) -> CampaignResult:
-        result = _build_result(
-            seeds, completed, worker_metrics, outcome, supervisor,
-            resumed, cache_hits,
-            journal_path if journal is not None else None,
+    def result_of(outcome: SupervisedOutcome) -> CampaignResult:
+        snapshots = [worker_metrics[s] for s in seeds if s in worker_metrics]
+        return CampaignResult(
+            seeds=list(seeds),
+            completed=dict(completed),
+            failures=dict(outcome.failures),
+            worker_metrics=dict(worker_metrics),
+            metrics=merge_metric_snapshots(snapshots),
+            resumed=resumed,
+            cache_hits=cache_hits,
+            retries=outcome.retries,
+            respawns=outcome.respawns,
+            timeouts=outcome.timeouts,
+            degraded=outcome.degraded,
+            journal_path=journal_path if journal is not None else None,
         )
-        supervisor._telemetry(
-            CAMPAIGN_FINISHED,
-            fingerprint=fingerprint,
-            completed=len(result.completed),
-            failed=len(result.failures),
-            retries=result.retries,
-            respawns=result.respawns,
-            timeouts=result.timeouts,
-            cache_hits=result.cache_hits,
-            degraded=result.degraded,
-            runtime=supervisor.metrics.snapshot(),
-        )
-        if journal is not None:
-            journal.close()
-        if telemetry is not None:
-            telemetry.close()
-        return result
 
     remaining = [s for s in seeds if s not in completed]
     outcome = SupervisedOutcome()
     try:
         if remaining:
-            outcome = supervisor.map(
-                spec, remaining, jobs=jobs, on_result=on_result,
-                capture_metrics=capture_metrics,
+            outcome = Supervisor(policy, fingerprint).map(
+                CapturedScenario(spec), remaining, jobs=jobs,
+                on_result=on_result,
+                on_failure=journal.fail if journal is not None else None,
             )
     except KeyboardInterrupt:
-        partial = _build_result(
-            seeds, completed, worker_metrics, outcome, supervisor,
-            resumed, cache_hits,
-            journal_path if journal is not None else None,
-        )
+        partial = result_of(outcome)
+        raise CampaignInterrupted(partial, partial.journal_path) from None
+    finally:
         if journal is not None:
             journal.close()
-        if telemetry is not None:
-            telemetry.close()
-        raise CampaignInterrupted(
-            partial, journal_path if journal is not None else None
-        ) from None
-    return finish(outcome)
-
-
-def _build_result(
-    seeds: List[int],
-    completed: Dict[int, Mapping[str, Number]],
-    worker_metrics: Dict[int, Dict[str, Number]],
-    outcome: SupervisedOutcome,
-    supervisor: Supervisor,
-    resumed: int,
-    cache_hits: int,
-    journal_path: Optional[Path],
-) -> CampaignResult:
-    snapshots = [worker_metrics[s] for s in seeds if s in worker_metrics]
-    merged = merge_metric_snapshots(snapshots) if snapshots else {}
-    for key, value in supervisor.metrics.snapshot().items():
-        merged.setdefault(key, value)
-    return CampaignResult(
-        seeds=list(seeds),
-        completed=dict(completed),
-        failures=dict(outcome.failures),
-        worker_metrics=dict(worker_metrics),
-        metrics=merged,
-        resumed=resumed,
-        cache_hits=cache_hits,
-        retries=outcome.retries,
-        respawns=outcome.respawns,
-        timeouts=outcome.timeouts,
-        degraded=outcome.degraded,
-        journal_path=journal_path,
-    )
+    return result_of(outcome)
 
 
 def _rebuildable_specs() -> Dict[str, type]:

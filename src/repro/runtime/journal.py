@@ -1,10 +1,26 @@
-"""Crash-safe per-seed result journal for replication campaigns.
+"""Crash-safe per-seed journal: the one on-disk record of a campaign.
 
 A campaign journal is a JSONL file: one schema-versioned header line
-followed by one record line per completed seed.  The header carries a
-**campaign fingerprint** — a digest of the scenario spec, the seed list
-and the journal schema — so a resume can refuse to graft results from a
-different campaign onto this one.
+followed by one line per settled seed.  The header carries a **campaign
+fingerprint** — a digest of the scenario spec, the seed list and the
+journal schema — so a resume can refuse to graft results from a
+different campaign onto this one.  The lines are:
+
+* the header: ``kind``, ``schema``, ``fingerprint``, ``experiment``,
+  ``spec``, ``seeds`` and ``t``;
+* a result line, ``{"seed", "result", "metrics", "attempts", "t"}``, for
+  a seed a worker ran (``metrics`` is that worker's registry snapshot,
+  ``attempts`` counts its tries in this run); a seed served from the
+  result cache carries ``"cached": true`` instead of ``metrics`` and
+  ``attempts``;
+* a failure line, ``{"seed", "failed": reason, "attempts", "t"}``, for a
+  seed that exhausted its retries.
+
+``t`` is wall-clock Unix seconds.  The last line per seed decides its
+state: done (a result line), failed (a failure line) or pending (no
+line yet).  ``t``, ``attempts``, ``cached`` and failure lines are
+optional on read, so journals written before they existed load, resume
+and render unchanged (and keep their fingerprints).
 
 Durability contract:
 
@@ -31,9 +47,10 @@ import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.stats import Number
 
@@ -43,8 +60,23 @@ SCHEMA_VERSION = 1
 #: value of the header's ``kind`` field
 JOURNAL_KIND = "repro-campaign-journal"
 
+
 class JournalError(ValueError):
     """A journal is missing, malformed, or belongs to another campaign."""
+
+
+@dataclass
+class SeedFailure:
+    """Why one seed permanently failed."""
+
+    seed: int
+    attempts: int
+    reason: str
+
+
+def _now() -> float:
+    """The wall-clock ``t`` journal lines carry (Unix seconds, ms)."""
+    return round(time.time(), 3)
 
 
 def _signature_value(value: object) -> object:
@@ -115,9 +147,11 @@ class CampaignHeader:
     experiment: str
     spec: Dict[str, object]
     seeds: List[int]
+    #: wall-clock creation time (``None`` in journals that predate it)
+    t: Optional[float] = None
 
     def as_json_dict(self) -> Dict[str, object]:
-        return {
+        payload: Dict[str, object] = {
             "kind": JOURNAL_KIND,
             "schema": self.schema,
             "fingerprint": self.fingerprint,
@@ -125,6 +159,9 @@ class CampaignHeader:
             "spec": self.spec,
             "seeds": list(self.seeds),
         }
+        if self.t is not None:
+            payload["t"] = self.t
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "CampaignHeader":
@@ -143,6 +180,7 @@ class CampaignHeader:
             experiment=str(payload.get("experiment", "")),
             spec=dict(payload["spec"]),  # type: ignore[arg-type]
             seeds=[int(seed) for seed in payload["seeds"]],  # type: ignore
+            t=payload.get("t"),  # type: ignore[arg-type]
         )
 
 
@@ -180,40 +218,79 @@ def _read_lines(path: Path) -> Tuple[List[Dict[str, object]], int]:
 
 @dataclass(frozen=True)
 class JournalSnapshot:
-    """A read-only view of one journal: header + everything recorded.
+    """One journal, parsed: the header and each seed's state.
 
-    Unlike :meth:`CampaignJournal.resume`, loading a snapshot never
-    mutates the file (no torn-line truncation, no append handle), so
-    ``python -m repro status`` can safely inspect the journal of a
-    campaign that is still running in another process.
+    A seed's last line decides its state (see the module docstring).
+    Loading a snapshot never mutates the file (no torn-line truncation,
+    no append handle), so ``python -m repro status`` can safely inspect
+    the journal of a campaign that is still running in another process.
     """
 
     header: CampaignHeader
+    #: seeds whose last line is a result, with that result
     completed: Dict[int, Dict[str, Number]]
+    #: the worker registry snapshots those result lines carried
     worker_metrics: Dict[int, Dict[str, Number]]
+    #: seeds whose last line is a failure line
+    failures: Dict[int, SeedFailure] = field(default_factory=dict)
+    #: completed seeds served from the result cache
+    cached: Set[int] = field(default_factory=set)
+    #: retries per seed, over every line it has (attempts beyond each
+    #: run's first); seeds never retried are absent
+    retries: Dict[int, int] = field(default_factory=dict)
+    #: ``t`` of the last line that carries one
+    last_t: Optional[float] = None
 
     def pending(self) -> List[int]:
+        """Seeds with no result and no failure line, in seed order."""
         return [
-            s for s in self.header.seeds if s not in self.completed
+            s for s in self.header.seeds
+            if s not in self.completed and s not in self.failures
         ]
 
+    @property
+    def elapsed_s(self) -> Optional[float]:
+        """Wall seconds from the header to the last line (``None`` for
+        journals without ``t``)."""
+        if self.header.t is None or self.last_t is None:
+            return None
+        return self.last_t - self.header.t
 
-def load_journal(path: Union[str, Path]) -> JournalSnapshot:
-    """Read a journal without touching it (see :class:`JournalSnapshot`)."""
+    @property
+    def eta_s(self) -> Optional[float]:
+        """Seconds until the pending seeds finish at the campaign's
+        average rate so far: ``pending * elapsed / done``.  ``None``
+        while nothing is done, nothing is pending, or ``t`` is absent."""
+        elapsed = self.elapsed_s
+        pending = len(self.pending())
+        if elapsed is None or not self.completed or not pending:
+            return None
+        return pending * elapsed / len(self.completed)
+
+
+def _load(path: Union[str, Path]) -> Tuple[JournalSnapshot, int]:
+    """The one journal parser: the snapshot, plus the byte offset where
+    the clean prefix ends (see :func:`_read_lines`)."""
     path = Path(path)
     if not path.exists():
         raise JournalError(f"no journal at {path}")
-    payloads, _ = _read_lines(path)
+    payloads, clean_end = _read_lines(path)
     if not payloads:
         raise JournalError(f"{path}: empty journal")
     header = CampaignHeader.from_json_dict(payloads[0])
     known = set(header.seeds)
-    completed: Dict[int, Dict[str, Number]] = {}
-    worker_metrics: Dict[int, Dict[str, Number]] = {}
+    last: Dict[int, Tuple[object, Mapping[str, object]]] = {}
+    retries: Dict[int, int] = {}
+    last_t = header.t
     for payload in payloads[1:]:
         try:
             seed = int(payload["seed"])  # type: ignore[arg-type]
-            result = dict(payload["result"])  # type: ignore[arg-type]
+            attempts = int(payload.get("attempts", 1))  # type: ignore
+            outcome: object = (
+                SeedFailure(seed, attempts, str(payload["failed"]))
+                if "failed" in payload
+                else dict(payload["result"])  # type: ignore[arg-type]
+            )
         except (KeyError, TypeError, ValueError) as error:
             raise JournalError(
                 f"{path}: malformed record {payload!r}: {error}"
@@ -222,13 +299,33 @@ def load_journal(path: Union[str, Path]) -> JournalSnapshot:
             raise JournalError(
                 f"{path}: record for seed {seed} not in campaign seeds"
             )
-        completed[seed] = result
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            worker_metrics[seed] = dict(metrics)  # type: ignore[arg-type]
-    return JournalSnapshot(
-        header=header, completed=completed, worker_metrics=worker_metrics
+        last[seed] = (outcome, payload)
+        if attempts > 1:
+            retries[seed] = retries.get(seed, 0) + attempts - 1
+        last_t = payload.get("t", last_t)  # type: ignore[assignment]
+    completed: Dict[int, Dict[str, Number]] = {}
+    worker_metrics: Dict[int, Dict[str, Number]] = {}
+    failures: Dict[int, SeedFailure] = {}
+    cached: Set[int] = set()
+    for seed, (outcome, payload) in last.items():
+        if isinstance(outcome, SeedFailure):
+            failures[seed] = outcome
+            continue
+        completed[seed] = outcome  # type: ignore[assignment]
+        if payload.get("metrics") is not None:
+            worker_metrics[seed] = dict(payload["metrics"])  # type: ignore
+        if payload.get("cached"):
+            cached.add(seed)
+    snapshot = JournalSnapshot(
+        header=header, completed=completed, worker_metrics=worker_metrics,
+        failures=failures, cached=cached, retries=retries, last_t=last_t,
     )
+    return snapshot, clean_end
+
+
+def load_journal(path: Union[str, Path]) -> JournalSnapshot:
+    """Read a journal without touching it (see :class:`JournalSnapshot`)."""
+    return _load(path)[0]
 
 
 def peek_header(path: Union[str, Path]) -> CampaignHeader:
@@ -248,7 +345,7 @@ def peek_header(path: Union[str, Path]) -> CampaignHeader:
 
 
 class CampaignJournal:
-    """Append-only journal of one campaign's per-seed results."""
+    """Append-only journal of one campaign's settled seeds."""
 
     def __init__(
         self, path: Union[str, Path], header: CampaignHeader
@@ -280,6 +377,7 @@ class CampaignJournal:
             experiment=experiment,
             spec=spec_signature(spec),
             seeds=[int(seed) for seed in seeds],
+            t=_now(),
         )
         journal = cls(path, header)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,32 +392,12 @@ class CampaignJournal:
         (SIGKILL mid-write) is truncated away first, so the next append
         starts on a clean line boundary."""
         path = Path(path)
-        if not path.exists():
-            raise JournalError(f"no journal at {path}")
-        payloads, clean_end = _read_lines(path)
-        if not payloads:
-            raise JournalError(f"{path}: empty journal")
+        snapshot, clean_end = _load(path)
         if clean_end < path.stat().st_size:
             os.truncate(path, clean_end)
-        header = CampaignHeader.from_json_dict(payloads[0])
-        journal = cls(path, header)
-        known = set(header.seeds)
-        for payload in payloads[1:]:
-            try:
-                seed = int(payload["seed"])  # type: ignore[arg-type]
-                result = dict(payload["result"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError) as error:
-                raise JournalError(
-                    f"{path}: malformed record {payload!r}: {error}"
-                ) from None
-            if seed not in known:
-                raise JournalError(
-                    f"{path}: record for seed {seed} not in campaign seeds"
-                )
-            journal.completed[seed] = result
-            metrics = payload.get("metrics")
-            if metrics is not None:
-                journal.worker_metrics[seed] = dict(metrics)  # type: ignore
+        journal = cls(path, snapshot.header)
+        journal.completed = snapshot.completed
+        journal.worker_metrics = snapshot.worker_metrics
         journal._stream = path.open("a", buffering=1)
         return journal
 
@@ -356,17 +434,30 @@ class CampaignJournal:
         seed: int,
         result: Mapping[str, Number],
         metrics: Optional[Mapping[str, Number]] = None,
+        attempts: Optional[int] = None,
+        cached: bool = False,
     ) -> None:
-        """Durably append one completed seed (optionally with the
-        worker's registry snapshot riding on the same record)."""
+        """Durably append one completed seed: a worker's result with its
+        registry snapshot and attempt count, or a cached one."""
         payload: Dict[str, object] = {
-            "seed": int(seed), "result": dict(result),
+            "seed": int(seed), "result": dict(result), "t": _now(),
         }
         if metrics is not None:
             payload["metrics"] = dict(metrics)
             self.worker_metrics[int(seed)] = dict(metrics)
+        if attempts is not None:
+            payload["attempts"] = int(attempts)
+        if cached:
+            payload["cached"] = True
         self._append_line(payload)
         self.completed[int(seed)] = dict(result)
+
+    def fail(self, failure: SeedFailure) -> None:
+        """Durably append a seed that exhausted its retries."""
+        self._append_line({
+            "seed": int(failure.seed), "failed": failure.reason,
+            "attempts": int(failure.attempts), "t": _now(),
+        })
 
     def _append_line(self, payload: Dict[str, object]) -> None:
         if self._stream is None:

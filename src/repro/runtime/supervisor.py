@@ -18,14 +18,12 @@ campaign needs:
   remaining seeds serially in-process.
 
 Per-seed results are delivered through an ``on_result`` callback the
-moment they complete (the campaign layer journals them there), so
-progress survives any later failure.  Results are returned keyed by
-seed; ordering is the caller's concern, which is how the campaign layer
-keeps aggregates bit-identical to a serial run.
-
-Supervision is observable: retries, respawns and timeouts emit
-``worker_retry``/``pool_respawn`` events on a :class:`TraceBus` (with
-wall-clock ``time_ns``) and count into ``runtime.*`` metrics.
+moment they complete, and permanent failures through ``on_failure``
+(the campaign layer journals both there), so progress survives any
+later failure.  Results are returned keyed by seed; ordering is the
+caller's concern, which is how the campaign layer keeps aggregates
+bit-identical to a serial run.  The retry, respawn and timeout tallies
+land on the returned :class:`SupervisedOutcome`.
 """
 
 from __future__ import annotations
@@ -40,17 +38,13 @@ from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
 
 from repro.analysis.parallel import effective_workers, resolve_jobs
 from repro.analysis.stats import Number, ScenarioFn
-from repro.obs.events import (
-    POOL_RESPAWN,
-    SEED_FAILED,
-    SEED_FINISHED,
-    SEED_RETRIED,
-    SEED_STARTED,
-    WORKER_RETRY,
-)
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TraceBus
-from repro.runtime.telemetry import CampaignTelemetry, CapturedScenario
+from repro.runtime.journal import SeedFailure
+
+#: ``on_result(seed, result, attempts)``: a seed completed on its
+#: ``attempts``-th try
+ResultCallback = Callable[[int, Mapping[str, Number], int], None]
+#: ``on_failure(failure)``: a seed exhausted its retry budget
+FailureCallback = Callable[[SeedFailure], None]
 
 
 @dataclass(frozen=True)
@@ -98,22 +92,11 @@ def backoff_delay(
 
 
 @dataclass
-class SeedFailure:
-    """Why one seed permanently failed."""
-
-    seed: int
-    attempts: int
-    reason: str
-
-
-@dataclass
 class SupervisedOutcome:
     """Everything one supervised map learned."""
 
     results: Dict[int, Mapping[str, Number]] = field(default_factory=dict)
     failures: Dict[int, SeedFailure] = field(default_factory=dict)
-    #: per-seed worker registry snapshots (``capture_metrics=True`` only)
-    worker_metrics: Dict[int, Dict[str, Number]] = field(default_factory=dict)
     retries: int = 0
     respawns: int = 0
     timeouts: int = 0
@@ -139,94 +122,41 @@ class Supervisor:
     """Run ``scenario(seed)`` for many seeds under the recovery ladder."""
 
     def __init__(
-        self,
-        policy: Optional[SupervisorPolicy] = None,
-        trace: Optional[TraceBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        fingerprint: str = "",
-        telemetry: Optional[CampaignTelemetry] = None,
+        self, policy: Optional[SupervisorPolicy] = None, fingerprint: str = "",
     ) -> None:
         self.policy = policy or SupervisorPolicy()
-        self.trace = trace or TraceBus()
-        self.metrics = metrics or MetricsRegistry()
         self.fingerprint = fingerprint
-        self.telemetry = telemetry
-        self._capture = False
-        self._started_monotonic = 0.0
-        self._total_seeds = 0
-        self._done_seeds = 0
-
-    # ------------------------------------------------------------------
-    # Observability helpers
-    # ------------------------------------------------------------------
-
-    def _emit(self, kind: str, **data: object) -> None:
-        if self.trace.enabled:
-            self.trace.emit(kind, time.time_ns(), **data)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.metrics.counter(f"runtime.{name}").add(amount)
-
-    def _telemetry(self, kind: str, **data: object) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(kind, **data)
-
-    def _eta_s(self) -> Optional[float]:
-        """Remaining-seconds estimate from the completed-seed rate.
-
-        Pure progress arithmetic: with ``done`` seeds finished in
-        ``elapsed`` wall seconds, the remaining seeds finish in
-        ``remaining * elapsed / done`` at the same rate.  ``None`` until
-        the first completion (no rate to extrapolate)."""
-        if self._done_seeds <= 0 or self._total_seeds <= 0:
-            return None
-        elapsed = time.monotonic() - self._started_monotonic
-        remaining = self._total_seeds - self._done_seeds
-        return round(remaining * elapsed / self._done_seeds, 3)
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
+        self._on_result: Optional[ResultCallback] = None
+        self._on_failure: Optional[FailureCallback] = None
 
     def map(
         self,
         scenario: ScenarioFn,
         seeds: Sequence[int],
         jobs: Optional[int] = None,
-        on_result: Optional[Callable[..., None]] = None,
-        capture_metrics: bool = False,
+        on_result: Optional[ResultCallback] = None,
+        on_failure: Optional[FailureCallback] = None,
     ) -> SupervisedOutcome:
         """Supervised equivalent of ``pool.map(scenario, seeds)``.
 
         Never raises for a failing *seed* — permanent failures land in
-        ``outcome.failures``.  ``KeyboardInterrupt`` tears the pool down
-        and propagates; everything already completed has been delivered
-        through ``on_result``.
-
-        ``capture_metrics=True`` wraps the scenario in
-        :class:`~repro.runtime.telemetry.CapturedScenario`: each seed
-        additionally ships its systems' registry snapshot back, landing
-        in ``outcome.worker_metrics[seed]``, and ``on_result`` is called
-        with three arguments ``(seed, result, metrics)`` instead of two.
+        ``outcome.failures`` (and reach ``on_failure`` as they happen).
+        ``KeyboardInterrupt`` tears the pool down and propagates;
+        everything already completed has been delivered through
+        ``on_result``.
         """
         seeds = [int(seed) for seed in seeds]
         outcome = SupervisedOutcome()
         if not seeds:
             return outcome
-        self._capture = capture_metrics
-        self._started_monotonic = time.monotonic()
-        self._total_seeds = len(seeds)
-        self._done_seeds = 0
-        if capture_metrics:
-            scenario = CapturedScenario(scenario)
+        self._on_result, self._on_failure = on_result, on_failure
         workers = effective_workers(resolve_jobs(jobs), len(seeds))
         if workers <= 1:
             self._run_serial(
-                scenario, deque(seeds), {seed: 0 for seed in seeds},
-                outcome, on_result,
+                scenario, deque(seeds), {seed: 0 for seed in seeds}, outcome,
             )
         else:
-            self._run_pooled(scenario, seeds, workers, outcome, on_result)
+            self._run_pooled(scenario, seeds, workers, outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -239,7 +169,6 @@ class Supervisor:
         queue: Deque[int],
         attempts: Dict[int, int],
         outcome: SupervisedOutcome,
-        on_result: Optional[Callable[[int, Mapping[str, Number]], None]],
         ready_at: Optional[Dict[int, float]] = None,
     ) -> None:
         """In-process loop over ``queue`` with the same retry budget (no
@@ -253,7 +182,6 @@ class Supervisor:
                 if gate > 0:
                     time.sleep(gate)
             attempts[seed] += 1
-            self._telemetry(SEED_STARTED, seed=seed, attempt=attempts[seed])
             try:
                 result = scenario(seed)
             except KeyboardInterrupt:
@@ -264,7 +192,7 @@ class Supervisor:
                     reason=f"error: {error!r}", sleep=True,
                 )
                 continue
-            self._complete(seed, result, outcome, on_result)
+            self._complete(seed, result, attempts, outcome)
 
     # ------------------------------------------------------------------
     # Pooled path
@@ -276,7 +204,6 @@ class Supervisor:
         seeds: Sequence[int],
         workers: int,
         outcome: SupervisedOutcome,
-        on_result: Optional[Callable[[int, Mapping[str, Number]], None]],
     ) -> None:
         policy = self.policy
         queue: Deque[int] = deque(seeds)
@@ -311,8 +238,7 @@ class Supervisor:
                         )
                         if pool is None:
                             self._degrade(
-                                scenario, queue, attempts, outcome,
-                                on_result, ready_at,
+                                scenario, queue, attempts, outcome, ready_at,
                             )
                             return
                         continue
@@ -320,9 +246,6 @@ class Supervisor:
                     deadlines[future] = (
                         now + policy.timeout_s
                         if policy.timeout_s is not None else None
-                    )
-                    self._telemetry(
-                        SEED_STARTED, seed=seed, attempt=attempts[seed]
                     )
                 if not inflight:
                     # Everything pending is backing off; sleep it out.
@@ -354,7 +277,7 @@ class Supervisor:
                             reason=f"error: {error!r}", ready_at=ready_at,
                         )
                     else:
-                        self._complete(seed, result, outcome, on_result)
+                        self._complete(seed, result, attempts, outcome)
                 if broken:
                     pool = self._respawn(
                         pool, inflight, deadlines, attempts, queue,
@@ -362,8 +285,7 @@ class Supervisor:
                     )
                     if pool is None:
                         self._degrade(
-                            scenario, queue, attempts, outcome,
-                            on_result, ready_at,
+                            scenario, queue, attempts, outcome, ready_at,
                         )
                         return
                     continue
@@ -373,8 +295,7 @@ class Supervisor:
                 )
                 if pool_after_timeout is _DEGRADE:
                     self._degrade(
-                        scenario, queue, attempts, outcome,
-                        on_result, ready_at,
+                        scenario, queue, attempts, outcome, ready_at,
                     )
                     return
                 if pool_after_timeout is not None:
@@ -420,7 +341,6 @@ class Supervisor:
             seed = inflight.pop(future)
             deadlines.pop(future, None)
             outcome.timeouts += 1
-            self._count("task_timeouts")
             self._requeue(
                 seed, attempts, queue, outcome,
                 reason=f"timeout after {self.policy.timeout_s}s",
@@ -452,54 +372,23 @@ class Supervisor:
         deadlines.clear()
         _kill_pool(pool)
         outcome.respawns += 1
-        self._count("pool_respawns")
-        self._emit(
-            POOL_RESPAWN,
-            respawn=outcome.respawns,
-            reason=reason,
-            requeued=len(queue),
-        )
         if outcome.respawns > self.policy.max_pool_respawns:
             return None
         return ProcessPoolExecutor(max_workers=workers)
 
-    def _degrade(
-        self, scenario, queue, attempts, outcome, on_result, ready_at,
-    ) -> None:
+    def _degrade(self, scenario, queue, attempts, outcome, ready_at) -> None:
         """The pool keeps dying: finish the remaining seeds serially."""
         outcome.degraded = True
-        self._count("serial_fallbacks")
-        self._run_serial(
-            scenario, queue, attempts, outcome, on_result, ready_at
-        )
+        self._run_serial(scenario, queue, attempts, outcome, ready_at)
 
     # ------------------------------------------------------------------
     # Shared bookkeeping
     # ------------------------------------------------------------------
 
-    def _complete(self, seed, result, outcome, on_result) -> None:
-        metrics: Optional[Dict[str, Number]] = None
-        if self._capture:
-            # CapturedScenario envelope: unwrap the flat result and keep
-            # the worker's registry snapshot beside it.
-            metrics = dict(result["metrics"])
-            result = result["result"]
-            outcome.worker_metrics[seed] = metrics
+    def _complete(self, seed, result, attempts, outcome) -> None:
         outcome.results[seed] = result
-        self._count("seeds_completed")
-        self._done_seeds += 1
-        self._telemetry(
-            SEED_FINISHED,
-            seed=seed,
-            done=self._done_seeds,
-            total=self._total_seeds,
-            eta_s=self._eta_s(),
-        )
-        if on_result is not None:
-            if self._capture:
-                on_result(seed, result, metrics)
-            else:
-                on_result(seed, result)
+        if self._on_result is not None:
+            self._on_result(seed, result, attempts[seed])
 
     def _requeue(
         self, seed, attempts, queue, outcome, reason,
@@ -509,27 +398,13 @@ class Supervisor:
         its budget (1 first attempt + ``max_retries``) is spent."""
         attempt = attempts[seed]
         if attempt >= 1 + self.policy.max_retries:
-            outcome.failures[seed] = SeedFailure(
-                seed=seed, attempts=attempt, reason=reason
-            )
-            self._count("seeds_failed")
-            self._telemetry(
-                SEED_FAILED, seed=seed, attempts=attempt, reason=reason
-            )
+            failure = SeedFailure(seed=seed, attempts=attempt, reason=reason)
+            outcome.failures[seed] = failure
+            if self._on_failure is not None:
+                self._on_failure(failure)
             return
         delay = backoff_delay(self.fingerprint, seed, attempt, self.policy)
         outcome.retries += 1
-        self._count("worker_retries")
-        self._emit(
-            WORKER_RETRY,
-            seed=seed, attempt=attempt, reason=reason,
-            delay_s=round(delay, 6),
-        )
-        self._telemetry(
-            SEED_RETRIED,
-            seed=seed, attempt=attempt, reason=reason,
-            delay_s=round(delay, 6),
-        )
         if sleep:
             time.sleep(delay)
         elif ready_at is not None:

@@ -7,8 +7,7 @@ from repro.analysis.cache import ResultCache, is_cacheable, result_key
 from repro.analysis.parallel import BenignReplicationSpec
 from repro.cli import main
 from repro.faults.crash import CrashingSpec
-from repro.obs.registry import MetricsRegistry
-from repro.runtime import run_campaign
+from repro.runtime import load_journal, run_campaign
 
 SPEC = BenignReplicationSpec(accesses=300, pages=32, scale=8)
 
@@ -113,15 +112,13 @@ def test_campaign_counts_hits_and_journals_cached_seeds(tmp_path):
     first = run_campaign(SPEC, seeds, jobs=1, cache=cache)
     assert first.complete and first.cache_hits == 0
 
-    metrics = MetricsRegistry()
-    journal = tmp_path / "campaign.jsonl"
+    journal = tmp_path / "campaign.journal"
     second = run_campaign(
-        SPEC, seeds, jobs=1, cache=cache,
-        journal_path=journal, metrics=metrics,
+        SPEC, seeds, jobs=1, cache=cache, journal_path=journal,
     )
     assert second.complete and second.cache_hits == len(seeds)
     assert second.aggregates == first.aggregates
-    assert metrics.value("runtime.cache_hit") == len(seeds)
+    assert cache.counters() == {"hits": len(seeds), "misses": len(seeds)}
     # every cached seed was journaled, so the journal can resume alone
     recorded = [
         json.loads(line)
@@ -129,16 +126,15 @@ def test_campaign_counts_hits_and_journals_cached_seeds(tmp_path):
         if line.strip()
     ]
     assert sorted(entry["seed"] for entry in recorded) == seeds
+    assert all(entry["cached"] for entry in recorded)
+    assert load_journal(journal).cached == set(seeds)
 
 
 def test_campaign_counts_misses(tmp_path):
     cache = ResultCache(tmp_path)
-    metrics = MetricsRegistry()
-    result = run_campaign(
-        SPEC, [7, 8], jobs=1, cache=cache, metrics=metrics,
-    )
+    result = run_campaign(SPEC, [7, 8], jobs=1, cache=cache)
     assert result.complete and result.cache_hits == 0
-    assert metrics.value("runtime.cache_miss") == 2
+    assert cache.counters() == {"hits": 0, "misses": 2}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """CLI toolchain: ``repro trace`` records, ``repro inspect`` renders."""
 
+from dataclasses import dataclass
+
+from repro.analysis import parallel
 from repro.cli import main
 from repro.obs import ACT, ACT_INTERRUPT, BIT_FLIP, read_jsonl
 
@@ -29,6 +32,29 @@ def test_trace_no_arm_keeps_platform_default(tmp_path, capsys):
     assert code == 0
     kinds = {event.kind for event in read_jsonl(out)}
     assert ACT_INTERRUPT not in kinds  # threshold stays at 1 << 20
+
+
+_TRACED_SCALES = []
+
+
+@dataclass(frozen=True)
+class ScaleProbe:
+    """Stands in for a replication spec; records the scale it ran at."""
+
+    scale: int = 8
+
+    def __call__(self, seed):
+        _TRACED_SCALES.append(self.scale)
+        return {}
+
+
+def test_trace_keeps_the_experiments_scale(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(parallel.REPLICATION_SPECS, "E13", ScaleProbe())
+    out = str(tmp_path / "t.jsonl")
+    _TRACED_SCALES.clear()
+    assert main(["trace", "E13", "-o", out]) == 0
+    assert main(["trace", "E13", "--scale", "16", "-o", out]) == 0
+    assert _TRACED_SCALES == [8, 16]
 
 
 def test_trace_with_sampling_flag(tmp_path, capsys):

@@ -3,6 +3,7 @@ interrupt salvage, and exit codes."""
 
 import pytest
 
+from repro.analysis.parallel import REPLICATION_SPECS
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.runtime import CampaignInterrupted, CampaignResult
 
@@ -165,3 +166,29 @@ class TestFailureReporting:
         assert code == 1
         assert "failed after 3 attempts" in captured.err
         assert "--resume" in captured.err
+
+
+class TestScaleDefault:
+    """Without ``--scale`` a campaign runs at its experiment's own
+    scale, which is what the journal header and cache key record."""
+
+    def spec_for(self, monkeypatch, argv):
+        specs = []
+
+        def fake_run_campaign(spec, seeds, **kwargs):
+            specs.append(spec)
+            return CampaignResult(
+                seeds=list(seeds), completed={s: {"x": s} for s in seeds}
+            )
+
+        monkeypatch.setattr("repro.runtime.run_campaign", fake_run_campaign)
+        assert main(argv) == 0
+        return specs[0]
+
+    def test_replicate_keeps_the_experiments_scale(self, capsys, monkeypatch):
+        spec = self.spec_for(monkeypatch, ["replicate", "E13", "--seeds", "2"])
+        assert spec == REPLICATION_SPECS["E13"] and spec.scale == 8
+        spec = self.spec_for(
+            monkeypatch, ["replicate", "E13", "--seeds", "2", "--scale", "16"]
+        )
+        assert spec.scale == 16

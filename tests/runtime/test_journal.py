@@ -9,7 +9,9 @@ from repro.runtime import (
     CampaignJournal,
     JournalError,
     SCHEMA_VERSION,
+    SeedFailure,
     campaign_fingerprint,
+    load_journal,
     peek_header,
     rebuild_spec,
     spec_signature,
@@ -88,6 +90,27 @@ class TestJournalRoundTrip:
         assert all(
             type(loaded[key]) is type(result[key]) for key in result
         )
+
+    def test_last_line_decides_done_failed_or_pending(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        journal = CampaignJournal.create(path, SPEC, SEEDS)
+        journal.fail(SeedFailure(seed=101, attempts=3, reason="boom"))
+        journal.record(101, {"acts": 5}, attempts=1)  # resumed, then done
+        journal.record(102, {"acts": 6}, cached=True)
+        journal.fail(SeedFailure(seed=103, attempts=1, reason="lost"))
+        journal.close()
+        snapshot = load_journal(path)
+        assert snapshot.completed == {101: {"acts": 5}, 102: {"acts": 6}}
+        assert snapshot.failures == {
+            103: SeedFailure(seed=103, attempts=1, reason="lost")
+        }
+        assert snapshot.cached == {102}
+        assert snapshot.retries == {101: 2}
+        assert snapshot.pending() == []
+        # a resume reruns the failed seed: only results count as done
+        resumed = CampaignJournal.resume(path)
+        assert resumed.pending() == [103]
+        resumed.close()
 
     def test_duplicate_seed_last_record_wins(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -10,13 +10,6 @@ import pytest
 
 from repro.analysis.parallel import effective_workers
 from repro.faults import CrashingSpec, InjectedWorkerError
-from repro.obs import (
-    MetricsRegistry,
-    POOL_RESPAWN,
-    RingBufferSink,
-    TraceBus,
-    WORKER_RETRY,
-)
 from repro.runtime import (
     SupervisorPolicy,
     Supervisor,
@@ -33,15 +26,8 @@ SEEDS = [11, 12, 13, 14]
 FAST = SupervisorPolicy(backoff_base_s=0.001, backoff_cap_s=0.01)
 
 
-def observed_supervisor(policy=FAST):
-    sink = RingBufferSink()
-    supervisor = Supervisor(
-        policy=policy,
-        trace=TraceBus(sink),
-        metrics=MetricsRegistry(),
-        fingerprint="test",
-    )
-    return supervisor, sink
+def supervisor(policy=FAST):
+    return Supervisor(policy=policy, fingerprint="test")
 
 
 class TestHealthyPath:
@@ -64,9 +50,11 @@ class TestHealthyPath:
         delivered = {}
         Supervisor(FAST).map(
             toy_scenario, SEEDS, jobs=2,
-            on_result=lambda seed, result: delivered.setdefault(seed, result),
+            on_result=lambda seed, result, attempts: delivered.setdefault(
+                seed, (result, attempts)
+            ),
         )
-        assert set(delivered) == set(SEEDS)
+        assert delivered == {s: (toy_scenario(s), 1) for s in SEEDS}
 
     def test_empty_seed_list_is_a_noop(self):
         outcome = Supervisor(FAST).map(toy_scenario, [], jobs=2)
@@ -87,29 +75,29 @@ class TestRetry:
             spec=toy_scenario, crash_seeds=(12,), mode="raise",
             marker_dir=str(tmp_path / "markers"),
         )
-        supervisor, sink = observed_supervisor()
-        outcome = supervisor.map(spec, SEEDS, jobs=2)
+        attempts = {}
+        outcome = supervisor().map(
+            spec, SEEDS, jobs=2,
+            on_result=lambda seed, result, tries: attempts.update({seed: tries}),
+        )
         assert not outcome.failures
         assert outcome.results == {
             seed: toy_scenario(seed) for seed in SEEDS
         }
-        assert outcome.retries >= 1
-        retries = [
-            e for e in sink.events if e.kind == WORKER_RETRY
-        ]
-        assert any(e.data["seed"] == 12 for e in retries)
-        counters = supervisor.metrics._counters
-        assert counters["runtime.worker_retries"].value == outcome.retries
-        assert counters["runtime.seeds_completed"].value == len(SEEDS)
+        assert outcome.retries == 1
+        assert attempts == {11: 1, 12: 2, 13: 1, 14: 1}
 
     def test_retries_exhaust_into_permanent_failure(self):
         spec = CrashingSpec(
             spec=toy_scenario, crash_seeds=(13,), mode="raise",
         )  # no marker_dir: fails every attempt
         policy = SupervisorPolicy(max_retries=1, backoff_base_s=0.001)
-        supervisor, _ = observed_supervisor(policy)
-        outcome = supervisor.map(spec, SEEDS, jobs=2)
+        reported = []
+        outcome = supervisor(policy).map(
+            spec, SEEDS, jobs=2, on_failure=reported.append
+        )
         assert set(outcome.failures) == {13}
+        assert reported == [outcome.failures[13]]
         assert outcome.failures[13].attempts == 2  # 1 try + 1 retry
         assert "InjectedWorkerError" in outcome.failures[13].reason
         assert set(outcome.results) == {11, 12, 14}
@@ -130,16 +118,13 @@ class TestPoolRespawn:
             spec=toy_scenario, crash_seeds=(12,), mode="kill",
             marker_dir=str(tmp_path / "markers"),
         )
-        supervisor, sink = observed_supervisor()
-        outcome = supervisor.map(spec, SEEDS, jobs=2)
+        outcome = supervisor().map(spec, SEEDS, jobs=2)
         assert not outcome.failures
         assert outcome.results == {
             seed: toy_scenario(seed) for seed in SEEDS
         }
         assert outcome.respawns >= 1
-        assert any(e.kind == POOL_RESPAWN for e in sink.events)
-        counters = supervisor.metrics._counters
-        assert counters["runtime.pool_respawns"].value == outcome.respawns
+        assert not outcome.degraded
 
     def test_respawn_budget_exhaustion_degrades_to_serial(self, tmp_path):
         spec = CrashingSpec(
@@ -149,15 +134,13 @@ class TestPoolRespawn:
         policy = SupervisorPolicy(
             max_pool_respawns=0, backoff_base_s=0.001
         )
-        supervisor, _ = observed_supervisor(policy)
-        outcome = supervisor.map(spec, SEEDS, jobs=2)
+        outcome = supervisor(policy).map(spec, SEEDS, jobs=2)
         assert outcome.degraded
+        assert outcome.respawns == 1  # the one respawn that spent the budget
         assert not outcome.failures
         assert outcome.results == {
             seed: toy_scenario(seed) for seed in SEEDS
         }
-        counters = supervisor.metrics._counters
-        assert counters["runtime.serial_fallbacks"].value == 1
 
 
 class TestTimeout:
@@ -169,9 +152,8 @@ class TestTimeout:
         policy = SupervisorPolicy(
             timeout_s=1.0, backoff_base_s=0.001, poll_interval_s=0.02,
         )
-        supervisor, _ = observed_supervisor(policy)
         started = time.monotonic()
-        outcome = supervisor.map(spec, SEEDS, jobs=2)
+        outcome = supervisor(policy).map(spec, SEEDS, jobs=2)
         elapsed = time.monotonic() - started
         assert not outcome.failures
         assert outcome.results == {
@@ -179,8 +161,7 @@ class TestTimeout:
         }
         assert outcome.timeouts >= 1
         assert elapsed < 25.0  # nowhere near the 30s hang
-        counters = supervisor.metrics._counters
-        assert counters["runtime.task_timeouts"].value == outcome.timeouts
+        assert outcome.respawns >= 1  # an expiry recycles the pool
 
 
 class TestBackoff:

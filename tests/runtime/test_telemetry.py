@@ -1,4 +1,6 @@
-"""Campaign telemetry: lifecycle sidecar + worker metrics capture.
+"""Campaign telemetry as the journal carries it: attempts, failures and
+wall-clock times on the journal's lines, worker-metrics capture, and the
+merge of per-seed registry snapshots.
 
 Scenario callables live at module level so they pickle across the
 process boundary (as in ``test_supervisor.py``).
@@ -10,28 +12,14 @@ import pickle
 import pytest
 
 from repro.analysis.parallel import BenignReplicationSpec
-from repro.obs.events import (
-    CAMPAIGN_FINISHED,
-    CAMPAIGN_STARTED,
-    SEED_FAILED,
-    SEED_FINISHED,
-    SEED_RETRIED,
-    SEED_STARTED,
-)
 from repro.runtime import (
-    CampaignTelemetry,
+    CampaignHeader,
     CapturedScenario,
-    Supervisor,
+    SCHEMA_VERSION,
     SupervisorPolicy,
-    build_run_report,
     load_journal,
     merge_metric_snapshots,
-    read_telemetry,
-    render_run_report,
     run_campaign,
-    summarize_telemetry,
-    telemetry_path,
-    write_run_report,
 )
 
 SPEC = BenignReplicationSpec(accesses=400, scale=8)
@@ -58,46 +46,8 @@ def always_failing(seed):
     raise RuntimeError("permanent")
 
 
-def counts_by_kind(events):
-    counts = {}
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
-
-
-class TestTelemetryStream:
-    def test_round_trips_through_the_trace_reader(self, tmp_path):
-        path = tmp_path / "c.jsonl.telemetry"
-        with CampaignTelemetry(path) as stream:
-            stream.emit(SEED_STARTED, seed=7, attempt=1)
-            stream.emit(SEED_FINISHED, seed=7, done=1, total=1, eta_s=0.0)
-        assert stream.events_written == 2
-        events = read_telemetry(path)
-        assert [e.kind for e in events] == [SEED_STARTED, SEED_FINISHED]
-        assert events[0].data == {"seed": 7, "attempt": 1}
-        assert events[1].data["eta_s"] == 0.0
-        assert all(e.time_ns > 0 for e in events)
-
-    def test_missing_and_empty_sidecars_are_no_events(self, tmp_path):
-        assert read_telemetry(tmp_path / "nonexistent") == []
-        empty = tmp_path / "empty.telemetry"
-        empty.touch()
-        assert read_telemetry(empty) == []
-
-    def test_append_mode_preserves_history(self, tmp_path):
-        path = tmp_path / "t.telemetry"
-        with CampaignTelemetry(path) as stream:
-            stream.emit(CAMPAIGN_STARTED, seeds=3)
-        with CampaignTelemetry(path, append=True) as stream:
-            stream.emit(CAMPAIGN_STARTED, seeds=3, resumed=2)
-        kinds = [e.kind for e in read_telemetry(path)]
-        assert kinds == [CAMPAIGN_STARTED, CAMPAIGN_STARTED]
-
-    def test_emit_after_close_is_a_noop(self, tmp_path):
-        stream = CampaignTelemetry(tmp_path / "t.telemetry")
-        stream.close()
-        stream.emit(SEED_STARTED, seed=1)
-        assert stream.events_written == 0
+def journal_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestMergeMetricSnapshots:
@@ -147,67 +97,73 @@ class TestCapturedScenario:
 
 
 class TestSupervisorTelemetry:
-    def run_supervised(self, scenario, tmp_path, **map_kwargs):
-        path = tmp_path / "t.telemetry"
-        with CampaignTelemetry(path) as stream:
-            supervisor = Supervisor(FAST, telemetry=stream)
-            outcome = supervisor.map(scenario, SEEDS, jobs=1, **map_kwargs)
-        return outcome, read_telemetry(path)
+    """The supervisor's attempts and failures reach the journal."""
 
     def test_lifecycle_counts_with_one_retry(self, tmp_path):
         _FLAKY_SEEN.clear()
-        outcome, events = self.run_supervised(flaky_scenario, tmp_path)
-        assert not outcome.failures
-        counts = counts_by_kind(events)
-        # Seed 32 burns one extra attempt: 3 seeds + 1 retry = 4 starts.
-        assert counts[SEED_STARTED] == len(SEEDS) + 1
-        assert counts[SEED_FINISHED] == len(SEEDS)
-        assert counts[SEED_RETRIED] == 1
-        assert SEED_FAILED not in counts
+        journal = tmp_path / "c.journal"
+        result = run_campaign(
+            flaky_scenario, SEEDS, jobs=1, policy=FAST, journal_path=journal,
+        )
+        assert result.complete and result.retries == 1
+        lines = journal_lines(journal)[1:]
+        # Seed 32 burns one extra attempt; every seed gets one line.
+        assert {line["seed"]: line["attempts"] for line in lines} == {
+            31: 1, 32: 2, 33: 1,
+        }
+        snapshot = load_journal(journal)
+        assert snapshot.retries == {32: 1}
+        assert not snapshot.failures and snapshot.pending() == []
 
     def test_finished_events_carry_progress_and_eta(self, tmp_path):
-        outcome, events = self.run_supervised(toy_scenario, tmp_path)
-        finished = [e for e in events if e.kind == SEED_FINISHED]
-        assert [e.data["done"] for e in finished] == [1, 2, 3]
-        assert all(e.data["total"] == len(SEEDS) for e in finished)
-        # An ETA exists from the first completion on; the last is zero
-        # (nothing remains to extrapolate).
-        assert all(e.data["eta_s"] is not None for e in finished)
-        assert finished[-1].data["eta_s"] == 0.0
+        journal = tmp_path / "c.journal"
+        run_campaign(
+            toy_scenario, SEEDS, jobs=1, policy=FAST, journal_path=journal,
+        )
+        header, *lines = journal_lines(journal)
+        times = [header["t"]] + [line["t"] for line in lines]
+        assert times == sorted(times)
+        finished = load_journal(journal)
+        assert finished.elapsed_s == pytest.approx(times[-1] - times[0])
+        assert finished.eta_s is None  # nothing left to extrapolate
+
+        # Progress and ETA of a journal one seed into three: the
+        # remaining two take twice the time the first one did.
+        partial = tmp_path / "partial.journal"
+        start = CampaignHeader(
+            schema=SCHEMA_VERSION, fingerprint="f", experiment="",
+            spec={}, seeds=SEEDS, t=100.0,
+        )
+        partial.write_text(
+            json.dumps(start.as_json_dict()) + "\n"
+            + json.dumps({"seed": 31, "result": {}, "t": 103.0}) + "\n"
+        )
+        snapshot = load_journal(partial)
+        assert snapshot.pending() == [32, 33]
+        assert snapshot.elapsed_s == pytest.approx(3.0)
+        assert snapshot.eta_s == pytest.approx(6.0)
 
     def test_exhausted_retries_emit_seed_failed(self, tmp_path):
         policy = SupervisorPolicy(
             max_retries=1, backoff_base_s=0.001, backoff_cap_s=0.01
         )
-        path = tmp_path / "t.telemetry"
-        with CampaignTelemetry(path) as stream:
-            outcome = Supervisor(policy, telemetry=stream).map(
-                always_failing, [41], jobs=1
-            )
-        assert 41 in outcome.failures
-        counts = counts_by_kind(read_telemetry(path))
-        assert counts[SEED_STARTED] == 2  # first attempt + one retry
-        assert counts[SEED_RETRIED] == 1
-        assert counts[SEED_FAILED] == 1
-
-    def test_capture_metrics_ships_snapshots(self, tmp_path):
-        delivered = {}
-
-        def on_result(seed, result, metrics):
-            delivered[seed] = (result, metrics)
-
-        outcome, _ = self.run_supervised(
-            toy_scenario, tmp_path,
-            on_result=on_result, capture_metrics=True,
+        journal = tmp_path / "c.journal"
+        result = run_campaign(
+            always_failing, [41], jobs=1, policy=policy, journal_path=journal,
         )
-        assert outcome.results == {s: toy_scenario(s) for s in SEEDS}
-        assert set(outcome.worker_metrics) == set(SEEDS)
-        assert delivered == {s: (toy_scenario(s), {}) for s in SEEDS}
+        assert 41 in result.failures
+        _, line = journal_lines(journal)
+        assert line["seed"] == 41 and line["attempts"] == 2  # try + retry
+        assert "permanent" in line["failed"] and "t" in line
+        snapshot = load_journal(journal)
+        assert snapshot.failures[41] == result.failures[41]
+        assert snapshot.completed == {} and snapshot.pending() == []
+        assert snapshot.retries == {41: 1}
 
 
 class TestCampaignTelemetryEndToEnd:
     def test_journaled_campaign_streams_lifecycle(self, tmp_path):
-        journal = tmp_path / "c.jsonl"
+        journal = tmp_path / "c.journal"
         result = run_campaign(
             SPEC, SEEDS, jobs=1, policy=FAST,
             journal_path=journal, experiment="E13",
@@ -218,95 +174,40 @@ class TestCampaignTelemetryEndToEnd:
         assert result.metrics["mc.acts"] == sum(
             result.worker_metrics[s]["mc.acts"] for s in SEEDS
         )
-        assert result.metrics["runtime.seeds_completed"] == len(SEEDS)
-        snapshot = load_journal(journal)
-        assert set(snapshot.worker_metrics) == set(SEEDS)
-        counts = counts_by_kind(read_telemetry(telemetry_path(journal)))
-        assert counts[CAMPAIGN_STARTED] == 1
-        assert counts[SEED_STARTED] == len(SEEDS)
-        assert counts[SEED_FINISHED] == len(SEEDS)
-        assert counts[CAMPAIGN_FINISHED] == 1
+        assert load_journal(journal).worker_metrics == result.worker_metrics
+        header, *lines = journal_lines(journal)
+        assert "t" in header
+        assert [line["seed"] for line in lines] == SEEDS
+        assert all(
+            line["attempts"] == 1 and "t" in line and "cached" not in line
+            for line in lines
+        )
+        assert list(tmp_path.iterdir()) == [journal]  # the only record
 
     def test_resume_preserves_metrics_and_appends_telemetry(self, tmp_path):
-        journal = tmp_path / "c.jsonl"
+        journal = tmp_path / "c.journal"
         first = run_campaign(
             SPEC, SEEDS, jobs=1, policy=FAST, journal_path=journal,
         )
+        kept = journal.read_text().splitlines()[:-1]  # lose the last seed
+        journal.write_text("\n".join(kept) + "\n")
         resumed = run_campaign(
             SPEC, SEEDS, jobs=1, policy=FAST,
             journal_path=journal, resume=True,
         )
-        assert resumed.resumed == len(SEEDS)
+        assert resumed.resumed == len(SEEDS) - 1
         assert resumed.worker_metrics == first.worker_metrics
-        assert resumed.metrics["mc.acts"] == first.metrics["mc.acts"]
+        assert resumed.metrics == first.metrics
         assert resumed.aggregates == first.aggregates
-        counts = counts_by_kind(read_telemetry(telemetry_path(journal)))
-        assert counts[CAMPAIGN_STARTED] == 2  # sidecar appended, not reset
-        assert counts[CAMPAIGN_FINISHED] == 2
-        assert counts[SEED_STARTED] == len(SEEDS)  # nothing re-ran
-
-    def test_capture_can_be_disabled(self, tmp_path):
-        result = run_campaign(
-            SPEC, SEEDS, jobs=1, policy=FAST,
-            journal_path=tmp_path / "c.jsonl", capture_metrics=False,
-        )
-        assert result.complete
-        assert result.worker_metrics == {}
-        assert all(key.startswith("runtime.") for key in result.metrics)
+        lines = journal.read_text().splitlines()
+        assert lines[:-1] == kept  # appended, not rewritten
+        assert json.loads(lines[-1])["seed"] == SEEDS[-1]
 
     def test_load_journal_is_read_only(self, tmp_path):
-        journal = tmp_path / "c.jsonl"
+        journal = tmp_path / "c.journal"
         run_campaign(SPEC, SEEDS, jobs=1, policy=FAST, journal_path=journal)
         before = journal.read_bytes()
         snapshot = load_journal(journal)
         assert journal.read_bytes() == before
         assert sorted(snapshot.completed) == SEEDS
         assert snapshot.pending() == []
-
-
-class TestRunReport:
-    @pytest.fixture(scope="class")
-    def campaign(self, tmp_path_factory):
-        journal = tmp_path_factory.mktemp("report") / "c.jsonl"
-        run_campaign(
-            SPEC, SEEDS, jobs=1, policy=FAST,
-            journal_path=journal, experiment="E13",
-        )
-        return journal
-
-    def test_report_is_deterministic(self, campaign):
-        first = build_run_report(campaign)
-        second = build_run_report(campaign)
-        assert first == second
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            second, sort_keys=True
-        )
-
-    def test_report_contents(self, campaign):
-        report = build_run_report(campaign)
-        assert report["campaign"]["experiment"] == "E13"
-        assert report["campaign"]["completed"] == len(SEEDS)
-        assert report["campaign"]["pending"] == []
-        assert report["metrics"]["mc.acts"] > 0
-        assert "flips" in report["aggregates"] or report["aggregates"]
-        telemetry = report["telemetry"]
-        assert telemetry["seeds_finished"] == len(SEEDS)
-        assert telemetry["counts_by_kind"][CAMPAIGN_FINISHED] == 1
-        assert telemetry["runtime"]["runtime.seeds_completed"] == len(SEEDS)
-
-    def test_summarize_telemetry_on_the_raw_events(self, campaign):
-        events = read_telemetry(telemetry_path(campaign))
-        summary = summarize_telemetry(events)
-        assert summary["events"] == len(events)
-        assert summary["seeds_started"] == len(SEEDS)
-        assert summary["wall_span_ns"] >= 0
-
-    def test_write_run_report_renders_both_forms(self, campaign, tmp_path):
-        base = tmp_path / "out"
-        json_path, md_path = write_run_report(campaign, output_base=base)
-        assert json_path.exists() and md_path.exists()
-        loaded = json.loads(json_path.read_text())
-        assert loaded == build_run_report(campaign)
-        markdown = md_path.read_text()
-        assert render_run_report(build_run_report(campaign)) == markdown
-        assert "mc.acts" in markdown
