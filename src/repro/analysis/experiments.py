@@ -66,6 +66,7 @@ from repro.sim import (
     build_system,
     ideal_platform,
     legacy_platform,
+    platform_config,
     proposed_platform,
 )
 from repro.workloads import WorkloadRunner
@@ -99,14 +100,9 @@ def _hosting_config(defense_cls, scale: int) -> SystemConfig:
     """The cheapest platform preset that hosts ``defense_cls``, with the
     allocator-policy build overrides it demands — both derived from the
     defense registry, so experiment sweeps follow ``ALL_DEFENSES``."""
-    overrides = build_overrides(defense_cls)
-    platform = platform_for(defense_cls)
-    if platform == "proposed":
-        return proposed_platform(scale=scale, **overrides)
-    config = legacy_platform(scale=scale, **overrides)
-    if platform == "legacy+primitives":
-        config = config.with_primitives(PrimitiveSet.proposed())
-    return config
+    return platform_config(
+        platform_for(defense_cls), scale=scale, **build_overrides(defense_cls)
+    )
 
 
 # ----------------------------------------------------------------------

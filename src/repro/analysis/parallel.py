@@ -19,7 +19,7 @@ run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.stats import Number, ScenarioFn
@@ -72,9 +72,9 @@ def effective_workers(jobs: int, task_count: int) -> int:
 class AttackReplicationSpec:
     """One E4-style cell: platform + defense vs one attack pattern.
 
-    ``platform`` is a CLI platform name (``legacy``,
-    ``legacy+primitives``, ``proposed``, ``ideal``); ``defense`` a
-    :data:`repro.cli.DEFENSE_FACTORIES` name or ``None``.
+    ``platform`` is a :data:`repro.sim.config.PLATFORMS` name;
+    ``defense`` a :data:`repro.defenses.registry.DEFENSE_BY_NAME` name
+    or ``None``.
     """
 
     platform: str = "legacy"
@@ -91,19 +91,19 @@ class AttackReplicationSpec:
 
     def __call__(self, seed: int) -> Dict[str, Number]:
         from repro.analysis.scenarios import build_scenario, run_attack
-        from repro.cli import DEFENSE_FACTORIES, _platform_config
+        from repro.defenses.registry import DEFENSE_BY_NAME, build_overrides
+        from repro.sim.config import platform_config
 
-        config = replace(
-            _platform_config(self.platform, self.scale, self.defense),
-            seed=seed,
-        )
+        cls = DEFENSE_BY_NAME[self.defense] if self.defense else None
+        overrides = build_overrides(cls)
         if self.act_threshold is not None:
-            config = replace(config, act_threshold=self.act_threshold)
+            overrides["act_threshold"] = self.act_threshold
         if self.precise_interrupts is not None:
-            config = replace(
-                config, precise_act_interrupts=self.precise_interrupts
-            )
-        defenses = [DEFENSE_FACTORIES[self.defense]()] if self.defense else []
+            overrides["precise_act_interrupts"] = self.precise_interrupts
+        config = platform_config(
+            self.platform, scale=self.scale, seed=seed, **overrides
+        )
+        defenses = [cls()] if cls else []
         scenario = build_scenario(
             config, defenses=defenses, interleaved_allocation=True
         )
@@ -132,15 +132,11 @@ class EvasionReplicationSpec:
         from repro.analysis.experiments import _decoy_lines
         from repro.analysis.scenarios import build_scenario
         from repro.attacks import AttackPlanner, EvasiveAttacker
-        from repro.core.primitives import PrimitiveSet
         from repro.defenses import TargetedRefreshDefense
-        from repro.sim import legacy_platform
+        from repro.sim.config import platform_config
 
-        config = replace(
-            legacy_platform(scale=self.scale).with_primitives(
-                PrimitiveSet.proposed()
-            ),
-            seed=seed,
+        config = platform_config(
+            "legacy+primitives", scale=self.scale, seed=seed
         )
         defense = TargetedRefreshDefense(
             interrupt_fraction=self.interrupt_fraction,
@@ -181,13 +177,15 @@ class BenignReplicationSpec:
 
     def __call__(self, seed: int) -> Dict[str, Number]:
         from repro.analysis.scenarios import run_benign
-        from repro.cli import DEFENSE_FACTORIES, _platform_config
+        from repro.defenses.registry import DEFENSE_BY_NAME, build_overrides
+        from repro.sim.config import platform_config
 
-        config = replace(
-            _platform_config(self.platform, self.scale, self.defense),
-            seed=seed,
+        cls = DEFENSE_BY_NAME[self.defense] if self.defense else None
+        config = platform_config(
+            self.platform, scale=self.scale, seed=seed,
+            **build_overrides(cls),
         )
-        defenses = [DEFENSE_FACTORIES[self.defense]()] if self.defense else []
+        defenses = [cls()] if cls else []
         metrics, elapsed = run_benign(
             config, defenses=defenses, workload=self.workload,
             accesses=self.accesses, pages=self.pages,

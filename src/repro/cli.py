@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.ablations import ABLATIONS
 from repro.analysis.validation import VALIDATIONS
@@ -23,37 +23,8 @@ from repro.analysis.report import DocumentError, registry, render_document
 from repro.analysis.scenarios import build_scenario, run_attack
 from repro.analysis.stats import merge_replications
 from repro.attacks.patterns import PATTERN_NAMES
-from repro.core.primitives import PrimitiveSet
-from repro.defenses.registry import DEFENSE_BY_NAME, apply_build_overrides
-from repro.sim import (
-    SystemConfig,
-    ideal_platform,
-    legacy_platform,
-    proposed_platform,
-)
-
-#: CLI name -> zero-argument defense factory, derived from the registry
-#: so a newly registered defense is immediately a valid ``--defense``
-DEFENSE_FACTORIES: Dict[str, Callable] = dict(DEFENSE_BY_NAME)
-
-
-def _platform_config(name: str, scale: int, defense: Optional[str]) -> SystemConfig:
-    """Resolve a platform name; special policies follow the defense."""
-    if name == "legacy":
-        config = legacy_platform(scale=scale)
-    elif name == "legacy+primitives":
-        config = legacy_platform(scale=scale).with_primitives(
-            PrimitiveSet.proposed()
-        )
-    elif name == "proposed":
-        config = proposed_platform(scale=scale)
-    elif name == "ideal":
-        config = ideal_platform(scale=scale)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
-    if defense is not None:
-        config = apply_build_overrides(config, DEFENSE_BY_NAME[defense])
-    return config
+from repro.defenses.registry import DEFENSE_BY_NAME, build_overrides
+from repro.sim import PLATFORMS, platform_config
 
 
 def _first_doc_line(runner) -> str:
@@ -74,7 +45,7 @@ def _cmd_list(args) -> int:
     for validation_id, runner in VALIDATIONS.items():
         print(f"  {validation_id:4s} {_first_doc_line(runner)}")
     print()
-    print("defenses:", ", ".join(sorted(DEFENSE_FACTORIES)))
+    print("defenses:", ", ".join(sorted(DEFENSE_BY_NAME)))
     print("attack patterns:", ", ".join(PATTERN_NAMES))
     return 0
 
@@ -105,10 +76,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    config = _platform_config(args.platform, args.scale, args.defense)
-    defenses = []
-    if args.defense:
-        defenses.append(DEFENSE_FACTORIES[args.defense]())
+    cls = DEFENSE_BY_NAME[args.defense] if args.defense else None
+    config = platform_config(
+        args.platform, scale=args.scale, **build_overrides(cls)
+    )
+    defenses = [cls()] if cls else []
     try:
         scenario = build_scenario(
             config,
@@ -452,7 +424,7 @@ def _cmd_trace(args) -> int:
         # 1<<20); a trace whose interrupt timeline is empty by
         # construction is useless, so arm the §4.2 reporting primitive
         # at an eighth of the (scaled) MAC with precise line capture.
-        config = _platform_config(spec.platform, spec.scale, spec.defense)
+        config = platform_config(spec.platform, scale=spec.scale)
         mac = by_name(config.generation).scaled(config.scale).profile.mac
         spec = dataclasses.replace(
             spec,
@@ -472,9 +444,7 @@ def _cmd_trace(args) -> int:
             return SamplingSink(sink, args.sample_every_n, seed=args.seed)
         return sink
 
-    with observe(
-        sink_factory=make_sink, sample_interval_ns=args.sample_ns
-    ):
+    with observe(sink_factory=make_sink):
         observables = spec(args.seed)
     written = sum(sink.events_written for sink in sink_holder)
     print(f"{args.experiment.upper()} seed={args.seed}: "
@@ -617,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     attack_parser = sub.add_parser("attack", help="mount one attack")
     attack_parser.add_argument(
         "--platform", default="legacy",
-        choices=("legacy", "legacy+primitives", "proposed", "ideal"),
+        choices=PLATFORMS,
     )
     attack_parser.add_argument(
-        "--defense", default=None, choices=sorted(DEFENSE_FACTORIES),
+        "--defense", default=None, choices=sorted(DEFENSE_BY_NAME),
     )
     attack_parser.add_argument(
         "--pattern", default="double-sided", choices=PATTERN_NAMES,
@@ -714,10 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale factor (default: the experiment's own)",
     )
     trace_parser.add_argument(
-        "--sample-ns", type=int, default=None,
-        help="also sample the counter registry every N sim-ns",
-    )
-    trace_parser.add_argument(
         "--no-arm", action="store_true",
         help="keep the platform's default ACT-counter threshold instead "
              "of arming interrupts at MAC/8 (attack traces only)",
@@ -734,11 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_parser.add_argument(
         "--platform", default="legacy+primitives",
-        choices=("legacy", "legacy+primitives", "proposed", "ideal"),
+        choices=PLATFORMS,
     )
     faults_parser.add_argument(
         "--defense", default="targeted-refresh",
-        choices=sorted(DEFENSE_FACTORIES),
+        choices=sorted(DEFENSE_BY_NAME),
     )
     faults_parser.add_argument(
         "--pattern", default="double-sided", choices=PATTERN_NAMES,

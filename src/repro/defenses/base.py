@@ -19,10 +19,10 @@ A defense declares:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.core.primitives import Primitive, PrimitiveSet
+from repro.core.primitives import Primitive
 from repro.core.taxonomy import DefenseTraits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,7 +80,9 @@ class Defense(abc.ABC):
         """Wire the defense into a built system.
 
         Raises :class:`~repro.core.primitives.MissingPrimitiveError` when
-        the platform lacks a required primitive.
+        the platform lacks a required primitive, and ``ValueError`` when a
+        defense of the same name is already attached to it (both would
+        report under ``defense.<name>.*``).
         """
         if self.attached:
             raise RuntimeError(f"{self.name} is already attached")
@@ -88,16 +90,16 @@ class Defense(abc.ABC):
         self.system = system
         self._wire(system)
         self.attached = True
-        obs = getattr(system, "obs", None)
-        if obs is not None:
-            # live reference: counters bumped after attach still appear
-            # in registry snapshots under ``defense.<name>.*``
-            obs.metrics.register_group(f"defense.{self.name}", self.counters)
+        # the system tracks attached defenses; its metrics snapshot
+        # reads their live counters (bare test mocks carry no list)
         registered = getattr(system, "defenses", None)
-        if registered is not None:
-            # the system tracks attached defenses so the invariant suite
-            # can cross-check their live counters against the registry
-            registered.append(self)
+        if registered is None:
+            return
+        if any(defense.name == self.name for defense in registered):
+            raise ValueError(
+                f"a defense named {self.name!r} is already attached"
+            )
+        registered.append(self)
 
     @abc.abstractmethod
     def _wire(self, system: "System") -> None:

@@ -42,16 +42,17 @@ def make_defense(name: str) -> Defense:
     return cls()
 
 
-def required_policy(cls: Type[Defense]) -> Optional[AllocationPolicy]:
+def required_policy(cls: Optional[Type[Defense]]) -> Optional[AllocationPolicy]:
     """The allocator policy a defense refuses to attach without, if any
     (the ``_PolicyDefense`` subclasses declare it as ``policy``)."""
     policy = getattr(cls, "policy", None)
     return policy if isinstance(policy, AllocationPolicy) else None
 
 
-def build_overrides(cls: Type[Defense]) -> Dict[str, object]:
+def build_overrides(cls: Optional[Type[Defense]]) -> Dict[str, object]:
     """Platform-factory keyword overrides the defense's placement
-    policy demands (empty for most defenses).
+    policy demands (empty for most defenses, and for ``None``, no
+    defense).
 
     Only the linear-mapped policies (bank partitioning, guard rows)
     need overriding: subarray-aware placement is already the proposed
@@ -61,15 +62,6 @@ def build_overrides(cls: Type[Defense]) -> Dict[str, object]:
     if policy not in _LINEAR_POLICIES:
         return {}
     return {"allocation_policy": policy, "mapping": "linear"}
-
-
-def apply_build_overrides(config, cls: Type[Defense]):
-    """The same overrides, applied to an already-built
-    :class:`~repro.sim.SystemConfig` (the CLI's resolution order)."""
-    policy = required_policy(cls)
-    if policy not in _LINEAR_POLICIES:
-        return config
-    return config.with_mapping("linear").with_policy(policy)
 
 
 def platform_for(cls: Type[Defense]) -> str:

@@ -54,9 +54,6 @@ class DataPlane:
             return bytes(self.cacheline_bytes)
         return bytes(stored)
 
-    def written_lines(self) -> Iterable[int]:
-        return self._lines.keys()
-
     # ------------------------------------------------------------------
     # Fault injection (driven by the flip router)
     # ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.dram.bank import BankState
 from repro.dram.commands import CommandKind, DramCommand
 from repro.dram.disturbance import BitFlip, DisturbanceProfile, DisturbanceTracker
 from repro.dram.geometry import DdrAddress, DramGeometry
-from repro.dram.presets import DramGenerationPreset
 from repro.dram.remap import RowRemapper
 from repro.dram.timing import DramTimings
 
@@ -113,23 +112,6 @@ class DramDevice:
         self.ref_bursts: int = 0
         self.targeted_refreshes: int = 0
         self.neighbor_refreshes: int = 0
-
-    @classmethod
-    def from_preset(
-        cls,
-        preset: DramGenerationPreset,
-        remapper: Optional[RowRemapper] = None,
-        mitigation: Optional[InDramMitigation] = None,
-        rng: Optional[random.Random] = None,
-    ) -> "DramDevice":
-        return cls(
-            geometry=preset.geometry,
-            timings=preset.timings,
-            profile=preset.profile,
-            remapper=remapper,
-            mitigation=mitigation,
-            rng=rng,
-        )
 
     # ------------------------------------------------------------------
     # Data access (RD/WR with implied ACT/PRE), called by the controller

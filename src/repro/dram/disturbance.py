@@ -361,9 +361,6 @@ class DisturbanceTracker:
     def intra_domain_flips(self) -> List[BitFlip]:
         return [flip for flip in self.flips if flip.intra_domain]
 
-    def clear_flips(self) -> None:
-        self.flips.clear()
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

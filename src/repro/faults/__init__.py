@@ -29,7 +29,6 @@ from repro.faults.crash import (
     CRASH_MODES,
     CrashingSpec,
     InjectedWorkerError,
-    crash_markers,
 )
 from repro.faults.invariants import (
     InvariantSuite,
@@ -46,7 +45,6 @@ __all__ = [
     "FaultConfig",
     "FaultPlane",
     "InjectedWorkerError",
-    "crash_markers",
     "InvariantSuite",
     "InvariantViolationError",
     "Violation",

@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.analysis.stats import Number, ScenarioFn
 
@@ -94,18 +94,3 @@ class CrashingSpec:
         marker.parent.mkdir(parents=True, exist_ok=True)
         marker.touch()
         return True
-
-
-def crash_markers(marker_dir: str) -> Dict[int, bool]:
-    """Which seeds have already burned their crash (test helper)."""
-    markers: Dict[int, bool] = {}
-    directory = Path(marker_dir)
-    if not directory.exists():
-        return markers
-    for entry in directory.glob("seed-*.crashed"):
-        try:
-            seed = int(entry.stem.split("-", 1)[1].split(".")[0])
-        except (IndexError, ValueError):  # pragma: no cover - stray file
-            continue
-        markers[seed] = True
-    return markers

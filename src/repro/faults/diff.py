@@ -21,7 +21,7 @@ runs (``python -m repro faults`` asserts on this in CI).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.faults.config import FaultConfig
@@ -44,22 +44,14 @@ class DiffSpec:
     seed: int = 1234
     invariant_level: str = "deep"
 
-    def base_config(self):
-        """The platform config (late imports keep this module light)."""
-        from repro.core.primitives import PrimitiveSet
-        from repro.sim import ideal_platform, legacy_platform, proposed_platform
+    def base_config(self, **overrides):
+        """The platform config, with keyword overrides (a late import
+        keeps this module light)."""
+        from repro.sim.config import platform_config
 
-        if self.platform == "legacy":
-            return legacy_platform(scale=self.scale, seed=self.seed)
-        if self.platform == "legacy+primitives":
-            return legacy_platform(
-                scale=self.scale, seed=self.seed
-            ).with_primitives(PrimitiveSet.proposed())
-        if self.platform == "proposed":
-            return proposed_platform(scale=self.scale, seed=self.seed)
-        if self.platform == "ideal":
-            return ideal_platform(scale=self.scale, seed=self.seed)
-        raise ValueError(f"unknown platform {self.platform!r}")
+        return platform_config(
+            self.platform, scale=self.scale, seed=self.seed, **overrides
+        )
 
     def armed_counter(self) -> Dict[str, int]:
         """Threshold/jitter the defense will arm (mirrors
@@ -82,28 +74,18 @@ def run_cell(
     ``defense`` overrides the spec's defense (pass ``None`` for an
     undefended reference cell)."""
     from repro.analysis.scenarios import build_scenario, run_attack_under_noise
+    from repro.defenses.registry import build_overrides
 
     defense_name = spec.defense if defense == "unset" else defense
-    config = replace(
-        spec.base_config(),
-        faults=fault,
-        invariant_level=spec.invariant_level,
-    )
     defenses = [_make_defense(defense_name)] if defense_name else []
-    interleaved = True
-    if defense_name:
-        from repro.defenses.registry import (
-            DEFENSE_BY_NAME,
-            apply_build_overrides,
-            build_overrides,
-        )
-
-        cls = DEFENSE_BY_NAME[defense_name]
-        # Allocator-policy defenses (bank partitioning, guard rows)
-        # refuse to attach unless the system is built with their
-        # placement policy — which is inherently non-interleaved.
-        config = apply_build_overrides(config, cls)
-        interleaved = not build_overrides(cls)
+    # Allocator-policy defenses (bank partitioning, guard rows) refuse to
+    # attach unless the system is built with their placement policy —
+    # which is inherently non-interleaved.
+    overrides = build_overrides(type(defenses[0]) if defenses else None)
+    config = spec.base_config(
+        faults=fault, invariant_level=spec.invariant_level, **overrides
+    )
+    interleaved = not overrides
     scenario = build_scenario(
         config, defenses=defenses, interleaved_allocation=interleaved
     )

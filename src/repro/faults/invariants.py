@@ -19,10 +19,6 @@ run end, O(live state) each:
 * ``mac_flip_or_refresh``  — no victim row carries pressure at or above
   the MAC without the oracle having logged its flip-or-trip, and no
   pressure is ever negative.
-* ``metrics_coverage``     — every statistics field and every attached
-  defense's live counters are reachable through the metrics registry
-  (extends ``assert_covers``: a defense that reassigns its counters
-  dict after attach leaves the registry reading a stale object).
 
 Deep (``invariant_level="deep"``) adds inline probes wrapped around the
 hot paths — more expensive, so opt-in:
@@ -37,7 +33,7 @@ hot paths — more expensive, so opt-in:
   the architectural count (catches read-path corruption).
 
 Violations are recorded (deduplicated per invariant/detail), counted
-under ``invariants.*`` in the metrics registry, emitted as
+under ``invariants.*`` in the system's metrics snapshot, emitted as
 ``invariant_violation`` trace events, and optionally raised
 (``strict=True``) for tests that want the first failure loudly.
 """
@@ -93,7 +89,6 @@ class InvariantSuite:
         self.violations: List[Violation] = []
         self.counters: Dict[str, int] = {"checks": 0, "violations": 0}
         self._seen: Set[Tuple[str, str]] = set()
-        system.obs.metrics.register_group("invariants", self.counters)
         if level == "deep":
             self._install_deep_probes()
 
@@ -109,7 +104,6 @@ class InvariantSuite:
         self._check_interrupt_conservation(now)
         self._check_counter_pending(now)
         self._check_mac_flip_or_refresh(now)
-        self._check_metrics_coverage(now)
         if self.level == "deep":
             self._check_counter_read_consistency(now)
         return self.violations[before:]
@@ -136,7 +130,7 @@ class InvariantSuite:
                 f"channel counters saw {counted} plus "
                 f"{stats.targeted_refreshes} targeted refreshes",
             )
-        sink = self.system.obs.trace.sink
+        sink = self.system.trace.sink
         if isinstance(sink, CountingSink):
             traced = sink.count(_ev.ACT) + sink.count(_ev.TARGETED_REFRESH)
             if traced != stats.acts:
@@ -187,33 +181,6 @@ class InvariantSuite:
                     f"row {row_key} reached pressure {pressure:.1f} >= "
                     f"MAC {mac} with no flip or refresh logged",
                 )
-
-    def _check_metrics_coverage(self, now: int) -> None:
-        system = self.system
-        registry = system.obs.metrics
-        try:
-            registry.assert_covers(system.controller.stats.snapshot(), "mc")
-        except RuntimeError as error:
-            self._record("metrics_coverage", now, str(error))
-        snapshot = registry.snapshot()
-        groups: List[Tuple[str, Dict[str, int]]] = [
-            ("invariants", self.counters)
-        ]
-        faults = getattr(system, "faults", None)
-        if faults is not None:
-            groups.append(("faults", faults.counters))
-        for defense in getattr(system, "defenses", ()):
-            groups.append((f"defense.{defense.name}", defense.counters))
-        for prefix, live in groups:
-            for key, value in live.items():
-                name = f"{prefix}.{key}"
-                if snapshot.get(name) != value:
-                    self._record(
-                        "metrics_coverage", now,
-                        f"registry reports {name}={snapshot.get(name)!r} "
-                        f"but the live counter holds {value!r} (stale or "
-                        f"reassigned counters object?)",
-                    )
 
     # ------------------------------------------------------------------
     # Deep checks
@@ -318,7 +285,7 @@ class InvariantSuite:
         violation = Violation(invariant=invariant, time_ns=now, detail=detail)
         self.violations.append(violation)
         self.counters["violations"] += 1
-        trace = self.system.obs.trace
+        trace = self.system.trace
         if trace.enabled:
             trace.emit(
                 _ev.INVARIANT_VIOLATION, now,

@@ -19,7 +19,7 @@ Every injector draws from its own RNG stream derived from
 ``(system seed, fault seed, injector salt)``, so a scenario re-run with
 the same seeds injects at identical points regardless of which other
 injectors are active.  Injection counts live in :attr:`counters`
-(registered with the metrics registry under ``faults.*``) and each
+(reported as ``faults.*`` by the system's metrics snapshot) and each
 injection lands on the trace bus as a ``fault_injected`` event when
 tracing is on.
 """
@@ -69,10 +69,6 @@ class FaultPlane:
         self._batches_seen = 0
         self._trace = None
 
-    @property
-    def total_injections(self) -> int:
-        return sum(self.counters.values())
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
@@ -82,7 +78,7 @@ class FaultPlane:
         if self.system is not None:
             raise RuntimeError("fault plane is already attached")
         self.system = system
-        self._trace = system.obs.trace
+        self._trace = system.trace
         config = self.config
         controller = system.controller
         if config.drop_interrupt_rate or (
@@ -99,7 +95,6 @@ class FaultPlane:
             controller.batch_fault = self._stall_batch
         if config.reconfig_every_acts:
             controller.add_act_observer(self._on_act_reconfig)
-        system.obs.metrics.register_group("faults", self.counters)
 
     # ------------------------------------------------------------------
     # Injectors

@@ -107,6 +107,3 @@ class DefensePortfolio:
 
     def classes(self) -> Tuple[MitigationClass, ...]:
         return tuple(defense.traits.mitigation_class for defense in self.defenses)
-
-    def describe_rows(self) -> List[Dict[str, object]]:
-        return [defense.describe() for defense in self.defenses]

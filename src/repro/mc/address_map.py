@@ -343,9 +343,6 @@ class SubarrayIsolatedInterleaving(AddressMapper):
         The caller must ensure the domain holds no placed frames."""
         self._domain_group.pop(domain, None)
 
-    def domains_in_group(self, group: int) -> Set[int]:
-        return {d for d, g in self._domain_group.items() if g == group}
-
     def assign_frame(self, frame: int, domain: int) -> None:
         """Place ``frame`` into its domain's subarray group.
 
@@ -370,12 +367,6 @@ class SubarrayIsolatedInterleaving(AddressMapper):
         self._group_slots_free[group].append(slot)
         # The slot may be re-placed for another frame; drop stale memos.
         self._invalidate_lines(self.lines_of_frame(frame))
-
-    def group_of_frame(self, frame: int) -> int:
-        assigned = self._frame_group.get(frame)
-        if assigned is not None:
-            return assigned
-        return frame % self._default_groups
 
     def _place(self, frame: int, group: int) -> None:
         free = self._group_slots_free[group]

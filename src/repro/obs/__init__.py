@@ -1,18 +1,16 @@
-"""Observability: structured event tracing and time-series metrics for
-the simulator.
+"""Observability: structured event tracing for the simulator.
 
 The paper's §4.2 primitive is itself an observability argument — a
 defense can only act on what the MC *reports*.  This package gives the
 simulator the same courtesy: hot paths emit typed events onto a
 :class:`~repro.obs.trace.TraceBus` (disabled by default and free when
-disabled), counters live in a :class:`~repro.obs.registry.MetricsRegistry`
-that a :class:`~repro.obs.sampler.TimeSeriesSampler` snapshots on a
-sim-time cadence.
+disabled).  A system's counters are read live by
+:meth:`~repro.sim.system.System.metrics_snapshot`.
 
 ``repro.obs.runtime.observe`` is the one-stop entry point: systems built
-inside the context pick up the configured sink and sampler automatically,
-which is how ``python -m repro trace`` records without threading
-arguments through every call site.
+inside the context pick up the configured sink automatically, which is
+how ``python -m repro trace`` records without threading arguments
+through every call site.
 """
 
 from repro.obs.events import (
@@ -32,8 +30,6 @@ from repro.obs.events import (
     UNCORE_MOVE,
 )
 from repro.obs.inspect import TraceSummary, render_summary, summarize_events
-from repro.obs.registry import MetricsRegistry
-from repro.obs.sampler import TimeSeries, TimeSeriesSampler
 from repro.obs.trace import (
     CountingSink,
     JsonlSink,
@@ -44,7 +40,7 @@ from repro.obs.trace import (
     iter_jsonl,
     read_jsonl,
 )
-from repro.obs.runtime import Observability, observe
+from repro.obs.runtime import observe
 
 __all__ = [
     "ACT",
@@ -56,18 +52,14 @@ __all__ = [
     "HANDLER_ERROR",
     "INVARIANT_VIOLATION",
     "JsonlSink",
-    "MetricsRegistry",
     "NEIGHBOR_REFRESH",
     "NullSink",
-    "Observability",
     "ROW_CONFLICT",
     "RingBufferSink",
     "SCHED_BATCH",
     "SamplingSink",
     "TARGETED_REFRESH",
     "THROTTLE_STALL",
-    "TimeSeries",
-    "TimeSeriesSampler",
     "TraceBus",
     "TraceEvent",
     "TraceSummary",

@@ -233,51 +233,21 @@ class TraceBus:
         self.sink.write(TraceEvent(kind=kind, time_ns=time_ns, data=data))
         self.emitted += 1
 
-    def sample_every_n(self, every: int, seed: int = 0) -> SamplingSink:
-        """Wrap the current sink in a deterministic 1-in-``every`` ACT
-        sampler (see :class:`SamplingSink`); returns the wrapper.  The
-        bus must already have a real sink attached."""
-        if isinstance(self.sink, NullSink):
-            raise ValueError("attach a sink before sampling")
-        sampler = SamplingSink(self.sink, every, seed)
-        self.set_sink(sampler)
-        return sampler
-
 
 def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
-    """Load a JSONL trace back into events (inverse of :class:`JsonlSink`).
+    """Load a JSONL trace back into events (inverse of :class:`JsonlSink`),
+    with :func:`iter_jsonl`'s torn-final-line tolerance."""
+    return list(iter_jsonl(path))
+
+
+def iter_jsonl(path: Union[str, Path]) -> Iterable[TraceEvent]:
+    """Stream the events of a JSONL trace, one in memory at a time.
 
     A torn *final* line — the signature a SIGKILL leaves on a
     line-buffered writer — is silently dropped so ``repro inspect``
     still works on the trace of a crashed run.  Corruption anywhere
     else in the file, or a file with no valid line at all, is still an
     error.
-    """
-    events: List[TraceEvent] = []
-    torn: Optional[str] = None
-    with Path(path).open() as stream:
-        for line_number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn is not None:
-                raise ValueError(torn)
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                # Tolerated only as the final line of a valid prefix.
-                torn = f"{path}:{line_number}: not valid JSON: {error}"
-                continue
-            events.append(TraceEvent.from_json_dict(payload))
-    if torn is not None and not events:
-        raise ValueError(torn)
-    return events
-
-
-def iter_jsonl(path: Union[str, Path]) -> Iterable[TraceEvent]:
-    """Streaming variant of :func:`read_jsonl` for very large traces.
-
-    Applies the same torn-final-line tolerance as :func:`read_jsonl`.
     """
     torn: Optional[str] = None
     any_valid = False

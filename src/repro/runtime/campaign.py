@@ -6,7 +6,7 @@ already done) to the :class:`~repro.runtime.supervisor.Supervisor` (how
 the rest gets done):
 
 * a fresh campaign journals every per-seed result the moment a worker
-  delivers it, with the worker's registry snapshot and attempt count,
+  delivers it, with the worker's metrics snapshot and attempt count,
   and every seed that exhausts its retries as a failure line;
 * ``resume=True`` reloads the journal, verifies its fingerprint against
   the requested spec + seeds, skips completed seeds, and merges old and
@@ -62,7 +62,7 @@ class CampaignResult:
     seeds: List[int]
     completed: Dict[int, Mapping[str, Number]]
     failures: Dict[int, SeedFailure] = field(default_factory=dict)
-    #: per-seed worker registry snapshots (cached seeds have none —
+    #: per-seed worker metrics snapshots (cached seeds have none —
     #: their workers never ran)
     worker_metrics: Dict[int, Dict[str, Number]] = field(default_factory=dict)
     #: the worker snapshots merged in seed order (ints sum, floats
@@ -119,13 +119,13 @@ class CapturedScenario:
     """Picklable wrapper: run one seed, ship its metrics back too.
 
     ``scenario(seed)`` normally returns a flat result mapping and throws
-    its systems — registries and all — away.  The wrapper opens an
-    ambient :func:`~repro.obs.runtime.observe` block (which registers
+    its systems — counters and all — away.  The wrapper opens an
+    ambient :func:`~repro.obs.runtime.observe` block (which records
     every system built inside, configuring nothing), runs the scenario,
-    and returns ``{"result": ..., "metrics": ...}`` where ``metrics`` is
-    the merged registry snapshot of those systems.  Exceptions pass
-    through untouched so the supervisor's retry ladder sees them as
-    usual.
+    and returns ``{"result": ..., "metrics": ...}`` where ``metrics``
+    merges those systems' :meth:`~repro.sim.system.System.metrics_snapshot`.
+    Exceptions pass through untouched so the supervisor's retry ladder
+    sees them as usual.
     """
 
     __slots__ = ("scenario",)
@@ -145,7 +145,7 @@ class CapturedScenario:
         with observe() as session:
             result = self.scenario(seed)
         metrics = merge_metric_snapshots(
-            [system.obs.metrics.snapshot() for system in session.systems]
+            [system.metrics_snapshot() for system in session.systems]
         )
         return {"result": result, "metrics": metrics}
 
@@ -153,7 +153,7 @@ class CapturedScenario:
 def merge_metric_snapshots(
     snapshots: Sequence[Mapping[str, Number]],
 ) -> Dict[str, Number]:
-    """Fold registry snapshots into one map: ints sum, floats average.
+    """Fold metrics snapshots into one map: ints sum, floats average.
 
     Integer counters (ACTs, fallbacks, cache hits) are totals, so they
     add; float gauges (hit rates, average latencies) are already
@@ -191,7 +191,7 @@ def run_campaign(
     raised rather than silently mixing campaigns.
 
     Every seed runs inside :class:`CapturedScenario`, so each worker's
-    registry snapshot comes back with its result, rides on its journal
+    metrics snapshot comes back with its result, rides on its journal
     line and merges into ``CampaignResult.metrics``.
 
     With a ``cache``, seeds the cache already holds are journaled as

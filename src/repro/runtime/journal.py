@@ -9,7 +9,7 @@ different campaign onto this one.  The lines are:
 * the header: ``kind``, ``schema``, ``fingerprint``, ``experiment``,
   ``spec``, ``seeds`` and ``t``;
 * a result line, ``{"seed", "result", "metrics", "attempts", "t"}``, for
-  a seed a worker ran (``metrics`` is that worker's registry snapshot,
+  a seed a worker ran (``metrics`` is that worker's metrics snapshot,
   ``attempts`` counts its tries in this run); a seed served from the
   result cache carries ``"cached": true`` instead of ``metrics`` and
   ``attempts``;
@@ -229,7 +229,7 @@ class JournalSnapshot:
     header: CampaignHeader
     #: seeds whose last line is a result, with that result
     completed: Dict[int, Dict[str, Number]]
-    #: the worker registry snapshots those result lines carried
+    #: the worker metrics snapshots those result lines carried
     worker_metrics: Dict[int, Dict[str, Number]]
     #: seeds whose last line is a failure line
     failures: Dict[int, SeedFailure] = field(default_factory=dict)
@@ -353,7 +353,7 @@ class CampaignJournal:
         self.path = Path(path)
         self.header = header
         self.completed: Dict[int, Dict[str, Number]] = {}
-        #: per-seed worker registry snapshots, for records that carried
+        #: per-seed worker metrics snapshots, for records that carried
         #: one (seeds served from the result cache never do)
         self.worker_metrics: Dict[int, Dict[str, Number]] = {}
         self._stream = None
@@ -438,7 +438,7 @@ class CampaignJournal:
         cached: bool = False,
     ) -> None:
         """Durably append one completed seed: a worker's result with its
-        registry snapshot and attempt count, or a cached one."""
+        metrics snapshot and attempt count, or a cached one."""
         payload: Dict[str, object] = {
             "seed": int(seed), "result": dict(result), "t": _now(),
         }

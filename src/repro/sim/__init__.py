@@ -3,19 +3,15 @@ engine, and run metrics."""
 
 from repro.sim.config import (
     DEFAULT_SCALE,
+    PLATFORMS,
     SystemConfig,
     ideal_platform,
     legacy_platform,
+    platform_config,
     proposed_platform,
 )
 from repro.sim.engine import Engine, EngineResult
 from repro.sim.metrics import RunMetrics, collect_metrics
-from repro.sim.results import (
-    compare,
-    load_metrics,
-    regression_check,
-    save_metrics,
-)
 from repro.sim.system import DomainHandle, System, build_system
 
 __all__ = [
@@ -23,16 +19,14 @@ __all__ = [
     "DomainHandle",
     "Engine",
     "EngineResult",
+    "PLATFORMS",
     "RunMetrics",
-    "compare",
-    "load_metrics",
-    "regression_check",
-    "save_metrics",
     "System",
     "SystemConfig",
     "build_system",
     "collect_metrics",
     "ideal_platform",
     "legacy_platform",
+    "platform_config",
     "proposed_platform",
 ]

@@ -112,6 +112,27 @@ class SystemConfig:
         return replace(self, generation=generation)
 
 
+#: the platform presets by name, cheapest first (the CLI's ``--platform``)
+PLATFORMS = ("legacy", "legacy+primitives", "proposed", "ideal")
+
+
+def platform_config(name: str, **overrides) -> SystemConfig:
+    """The named platform preset (one of :data:`PLATFORMS`) with keyword
+    overrides; ``legacy+primitives`` is today's hardware plus the
+    proposed MC primitives."""
+    if name == "legacy":
+        return legacy_platform(**overrides)
+    if name == "legacy+primitives":
+        return legacy_platform(**overrides).with_primitives(
+            PrimitiveSet.proposed()
+        )
+    if name == "proposed":
+        return proposed_platform(**overrides)
+    if name == "ideal":
+        return ideal_platform(**overrides)
+    raise ValueError(f"unknown platform {name!r}; known: {PLATFORMS}")
+
+
 def legacy_platform(**overrides) -> SystemConfig:
     """Today's hardware: conventional interleaving, imprecise counters,
     no proposed primitives."""

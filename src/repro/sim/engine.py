@@ -53,13 +53,7 @@ class Engine:
         deadline = start_ns + horizon_ns
         actors = self.actors
         system = self.system
-        obs = getattr(system, "obs", None)
-        sampler = obs.sampler if obs is not None else None
         invariants = getattr(system, "invariants", None)
-        # With sampling off the sentinel keeps the per-step cost at one
-        # integer-vs-inf compare; with it on, `next_sample` hoists the
-        # sampler's boundary out of the object.
-        next_sample = sampler.next_at if sampler is not None else float("inf")
         # (clock, index) heap: pops the smallest clock, then the lowest
         # index — the same order the previous O(actors) min-scan chose.
         heap: List[tuple] = [(start_ns, i) for i in range(len(actors))]
@@ -70,8 +64,6 @@ class Engine:
             now, index = heap[0]
             if now >= deadline:
                 break
-            if now >= next_sample:
-                next_sample = sampler.sample(now)
             finished = actors[index].step(now)
             # A stuck actor (e.g. non-viable attack plan) must still
             # advance or the loop would spin forever.
@@ -93,9 +85,6 @@ class Engine:
         if invariants is not None:
             # closing check so even flip-free runs are audited once
             invariants.check(deadline)
-        if sampler is not None:
-            # closing sample so even sub-interval runs yield a series
-            sampler.sample(deadline)
         return EngineResult(
             horizon_ns=horizon_ns,
             finished_ns=max(clock for clock, _ in heap),

@@ -42,8 +42,6 @@ class RunMetrics:
     defense_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     defense_sram_bits: int = 0
     reserved_capacity_fraction: float = 0.0
-    # observability: sampled counter series (None unless sampling was on)
-    timeseries: Optional[Dict[str, object]] = None
 
     @property
     def secure(self) -> bool:
@@ -84,15 +82,8 @@ def collect_metrics(
     elapsed_ns: Optional[int] = None,
     defenses: Optional[List["Defense"]] = None,
 ) -> RunMetrics:
-    """Snapshot a system after a run.
-
-    The controller/defense counter fields are read through the metrics
-    registry rather than straight off ``ControllerStats`` so that the
-    registry is provably the single source of truth: every key of
-    ``stats.snapshot()`` (and of each attached defense's counters) must
-    be covered, which turns a silently dropped statistic into a hard
-    error.
-    """
+    """Snapshot a system after a run, reading the controller statistics
+    and each defense's counters live."""
     stats = system.controller.stats
     tracker = system.device.tracker
     defenses = defenses or []
@@ -100,36 +91,6 @@ def collect_metrics(
     reserved = sum(
         defense.cost().reserved_capacity_fraction for defense in defenses
     )
-    obs = getattr(system, "obs", None)
-    timeseries: Optional[Dict[str, object]] = None
-    if obs is not None:
-        registry = obs.metrics
-        registry.assert_covers(stats.snapshot().keys(), "mc")
-        registry.assert_covers(
-            system.mapper.memo_counters().keys(), "cache.addrmap"
-        )
-        registry.assert_covers(("hit", "miss", "evict"), "cache.tlb")
-        for defense in defenses:
-            if defense.attached and defense.counters:
-                registry.assert_covers(
-                    defense.counters.keys(), f"defense.{defense.name}"
-                )
-        snap = registry.snapshot()
-        acts = int(snap["mc.acts"])
-        throttle_stalls_ns = int(snap["mc.throttle_stalls_ns"])
-        targeted_refreshes = int(snap["mc.targeted_refreshes"])
-        neighbor_refresh_commands = int(snap["mc.neighbor_refresh_commands"])
-        uncore_moves = int(snap["mc.uncore_moves"])
-        ref_bursts = int(snap["mc.ref_bursts"])
-        if obs.sampler is not None:
-            timeseries = obs.sampler.timeseries.as_dict()
-    else:  # bare mocks in unit tests carry no observability bundle
-        acts = stats.acts
-        throttle_stalls_ns = stats.throttle_stalls_ns
-        targeted_refreshes = stats.targeted_refreshes
-        neighbor_refresh_commands = stats.neighbor_refresh_commands
-        uncore_moves = stats.uncore_moves
-        ref_bursts = stats.ref_bursts
     return RunMetrics(
         label=label,
         elapsed_ns=elapsed_ns if elapsed_ns is not None else stats.busy_until_ns,
@@ -137,18 +98,17 @@ def collect_metrics(
         cross_domain_flips=len(tracker.cross_domain_flips()),
         intra_domain_flips=len(tracker.intra_domain_flips()),
         requests=stats.requests,
-        acts=acts,
+        acts=stats.acts,
         row_hit_rate=stats.row_hit_rate,
         average_latency_ns=stats.average_latency_ns,
-        throttle_stalls_ns=throttle_stalls_ns,
-        targeted_refreshes=targeted_refreshes,
-        neighbor_refresh_commands=neighbor_refresh_commands,
-        uncore_moves=uncore_moves,
-        ref_bursts=ref_bursts,
+        throttle_stalls_ns=stats.throttle_stalls_ns,
+        targeted_refreshes=stats.targeted_refreshes,
+        neighbor_refresh_commands=stats.neighbor_refresh_commands,
+        uncore_moves=stats.uncore_moves,
+        ref_bursts=stats.ref_bursts,
         energy_proxy=stats.energy_proxy(),
         cache_hit_rate=system.cache.hit_rate,
         defense_counters={d.name: dict(d.counters) for d in defenses},
         defense_sram_bits=sram,
         reserved_capacity_fraction=reserved,
-        timeseries=timeseries,
     )

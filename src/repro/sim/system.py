@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.primitives import Primitive, PrimitiveSet
 from repro.cpu.cache import SetAssociativeCache
@@ -28,12 +28,13 @@ from repro.dram.device import DramDevice
 from repro.dram.disturbance import BitFlip
 from repro.dram.presets import by_name
 from repro.dram.remap import RowRemapper
-from repro.hostos.allocator import AllocationPolicy, PageAllocator
+from repro.hostos.allocator import PageAllocator
 from repro.hostos.domains import DomainRegistry, TrustDomain
 from repro.hostos.enclave import EnclaveRuntime
 from repro.mc.address_map import make_mapper
 from repro.mc.controller import MemoryController
-from repro.obs.runtime import Observability, attach_ambient
+from repro.obs.runtime import attach_ambient
+from repro.obs.trace import TraceBus
 from repro.sim.config import SystemConfig
 
 RowKey = Tuple[int, int, int, int]
@@ -114,7 +115,9 @@ class System:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.obs = Observability()
+        #: the platform's one trace bus (the controller emits on it too);
+        #: disabled until a sink is installed
+        self.trace = TraceBus()
         self.rng = random.Random(config.seed)
         self.preset = by_name(config.generation).scaled(config.scale)
         geometry = self.preset.geometry
@@ -170,7 +173,7 @@ class System:
             reset_jitter=config.act_reset_jitter,
             page_policy=config.page_policy,
             rng=random.Random(config.seed ^ 0xC0DE),
-            trace=self.obs.trace,
+            trace=self.trace,
             # per-channel jitter RNGs derive as ``seed ^ channel`` so no
             # two channels share an overflow-jitter sequence (E10)
             counter_seed=config.seed,
@@ -198,33 +201,10 @@ class System:
         self.host_context = ExecutionContext(asid=0, host=True)
         self._flip_cursor = 0
         #: defenses attached to this platform (Defense.attach appends);
-        #: the invariant suite cross-checks their counters against the
-        #: metrics registry
+        #: :meth:`metrics_snapshot` reads their live counters
         self.defenses: List[object] = []
         # attribution: internal row -> logical row -> owning domains
         self.device.tracker.set_domain_lookup(self._domains_of_internal_row)
-        # every architecturally visible counter registers here; snapshots
-        # (and the time-series sampler) read the registry, never fields
-        self.obs.metrics.register_gauges("mc", self.controller.stats.snapshot)
-        self.obs.metrics.register_gauges(
-            "cache",
-            lambda: {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "hit_rate": self.cache.hit_rate,
-            },
-        )
-        self.obs.metrics.register_gauges(
-            "cache.addrmap", self.mapper.memo_counters
-        )
-        self.obs.metrics.register_gauges(
-            "cache.tlb",
-            lambda: {
-                "hit": self.mmu.tlb.hits,
-                "miss": self.mmu.tlb.misses,
-                "evict": self.mmu.tlb.evictions,
-            },
-        )
         # Fault plane and invariant suite (repro.faults) — built late so
         # their hooks and probes see the fully wired controller/device,
         # and imported lazily to keep sim<->faults import-cycle-free.
@@ -244,6 +224,38 @@ class System:
         # pick up an ambient `repro.obs.runtime.observe(...)` context, if
         # one is active (the trace CLI and replication runners use this)
         attach_ambient(self)
+
+    def metrics_snapshot(self) -> Dict[str, Union[int, float]]:
+        """Every counter of the platform as one flat ``prefix.key`` dict,
+        read from the live objects at call time: ``mc.*`` (controller
+        statistics), ``cache.*`` (LLC, address-map memo, TLB),
+        ``defense.<name>.*`` per attached defense, and ``faults.*`` /
+        ``invariants.*`` when the fault plane or invariant suite is on."""
+        groups = []
+        if self.faults is not None:
+            groups.append(("faults", self.faults.counters))
+        if self.invariants is not None:
+            groups.append(("invariants", self.invariants.counters))
+        groups += [(f"defense.{d.name}", d.counters) for d in self.defenses]
+        groups += [
+            ("mc", self.controller.stats.snapshot()),
+            ("cache", {
+                "hits": self.cache.hits,
+                "misses": self.cache.misses,
+                "hit_rate": self.cache.hit_rate,
+            }),
+            ("cache.addrmap", self.mapper.memo_counters()),
+            ("cache.tlb", {
+                "hit": self.mmu.tlb.hits,
+                "miss": self.mmu.tlb.misses,
+                "evict": self.mmu.tlb.evictions,
+            }),
+        ]
+        return {
+            f"{prefix}.{key}": value
+            for prefix, counters in groups
+            for key, value in counters.items()
+        }
 
     @property
     def primitives(self) -> PrimitiveSet:

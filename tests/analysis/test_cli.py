@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import DEFENSE_FACTORIES, main
+from repro.cli import main
+from repro.defenses.registry import DEFENSE_BY_NAME
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
@@ -103,9 +104,9 @@ class TestAttack:
 
 
 class TestFactories:
-    @pytest.mark.parametrize("name", sorted(DEFENSE_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(DEFENSE_BY_NAME))
     def test_factories_construct(self, name):
-        defense = DEFENSE_FACTORIES[name]()
+        defense = DEFENSE_BY_NAME[name]()
         assert defense.name
 
 

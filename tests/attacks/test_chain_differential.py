@@ -251,7 +251,7 @@ def hammer(config, make_defenses, drive, oracle, pattern="double-sided",
     )
     system = scenario.system
     if traced:
-        system.obs.trace.set_sink(CountingSink())
+        system.trace.set_sink(CountingSink())
     plan = AttackPlanner(system, scenario.attacker).plan(
         scenario.victim, pattern, sides=sides, spacing=spacing
     )

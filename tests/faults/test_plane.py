@@ -46,7 +46,7 @@ class TestWiring:
 
     def test_attach_registers_metrics_group(self):
         system = make_system(fault=FaultConfig(corrupt_refresh_rate=1.0))
-        snapshot = system.obs.metrics.snapshot()
+        snapshot = system.metrics_snapshot()
         assert snapshot["faults.refreshes_corrupted"] == 0
         assert system.controller.refresh_target_fault is not None
 

@@ -57,11 +57,6 @@ def test_trace_keeps_the_experiments_scale(tmp_path, capsys, monkeypatch):
     assert _TRACED_SCALES == [8, 16]
 
 
-def test_trace_with_sampling_flag(tmp_path, capsys):
-    code, _, _ = _trace(tmp_path, capsys, "--sample-ns", "10000")
-    assert code == 0
-
-
 def test_inspect_renders_deterministically(tmp_path, capsys):
     _, out, _ = _trace(tmp_path, capsys)
 

@@ -1,18 +1,21 @@
-"""Registry-backed run metrics (satellite b).
+"""One read of a system's counters.
 
-Every controller statistic and every defense counter must surface
-through the metrics registry — ``collect_metrics`` asserts coverage, so
-a statistic that silently fell off the registry is a hard error, and
-the sampled time series rides along on ``RunMetrics``.
+``System.metrics_snapshot()`` and ``collect_metrics`` read the live
+objects at call time, so nothing a producer does after attach (bumping,
+or replacing its counters dict) can leave a reader on a stale copy, and
+the flat snapshot a campaign worker ships keeps the same keys and types.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.analysis.parallel import REPLICATION_SPECS
 from repro.core.taxonomy import DefenseTraits, MitigationClass
 from repro.defenses.base import Defense
-from repro.sim import Engine, build_system, legacy_platform
+from repro.runtime.campaign import CapturedScenario
+from repro.sim import build_system, legacy_platform
 from repro.sim.metrics import collect_metrics
-from repro.sim.results import metrics_from_dict, metrics_to_dict
 from repro.workloads import WorkloadRunner
 
 
@@ -29,23 +32,17 @@ class _NoopDefense(Defense):
         pass
 
 
-def test_controller_stats_fully_covered_by_registry():
-    system = build_system(legacy_platform(scale=8))
-    snap = system.obs.metrics.snapshot()
-    for key in system.controller.stats.snapshot():
-        assert f"mc.{key}" in snap
-    assert "cache.hit_rate" in snap
-
-
 def test_defense_counters_registered_on_attach():
     system = build_system(legacy_platform(scale=8))
     defense = _NoopDefense()
     defense.attach(system)
     defense.bump("interventions", 3)
-    assert system.obs.metrics.snapshot()["defense.noop.interventions"] == 3
+    assert system.metrics_snapshot()["defense.noop.interventions"] == 3
 
 
 def test_collect_metrics_reads_through_registry():
+    # the name is kept from when the reads went through a registry; they
+    # now go to controller.stats and each defense's counters directly
     system = build_system(legacy_platform(scale=8))
     defense = _NoopDefense()
     defense.attach(system)
@@ -56,33 +53,74 @@ def test_collect_metrics_reads_through_registry():
     metrics = collect_metrics(system, label="t", defenses=[defense])
     assert metrics.acts == system.controller.stats.acts
     assert metrics.defense_counters == {"noop": {"interventions": 1}}
-    assert metrics.timeseries is None  # sampling was off
 
 
-def test_collect_metrics_fails_on_dropped_statistic():
+def test_replaced_counters_dict_is_read_live():
     system = build_system(legacy_platform(scale=8))
     defense = _NoopDefense()
     defense.attach(system)
-    # simulate the registration being lost: a fresh dict severs the
-    # live reference the registry holds
-    defense.counters = {"orphan": 1}
-    with pytest.raises(RuntimeError, match="orphan"):
-        collect_metrics(system, label="t", defenses=[defense])
-
-
-def test_timeseries_attached_to_run_metrics_and_serializes():
-    system = build_system(legacy_platform(scale=8))
-    system.obs.enable_sampling(interval_ns=2_000)
+    defense.bump("interventions")
     tenant = system.create_domain("tenant", pages=32)
-    runner = WorkloadRunner(system, tenant, name="sequential", mlp=4, seed=3)
-    Engine(system, [runner]).run(horizon_ns=20_000)
+    WorkloadRunner(system, tenant, name="random", mlp=4, seed=2).run(500)
 
-    metrics = collect_metrics(system, label="sampled")
-    assert metrics.timeseries is not None
-    assert metrics.timeseries["interval_ns"] == 2_000
-    assert len(metrics.timeseries["times"]) >= 2
-    assert "mc.acts" in metrics.timeseries["series"]
+    defense.counters = {"replaced": 7}
 
-    # round-trips through the results serialization layer
-    rebuilt = metrics_from_dict(metrics_to_dict(metrics))
-    assert rebuilt == metrics
+    metrics = collect_metrics(system, label="t", defenses=[defense])
+    assert metrics.defense_counters == {"noop": {"replaced": 7}}
+    assert metrics.acts == system.controller.stats.acts
+    snapshot = system.metrics_snapshot()
+    assert snapshot["defense.noop.replaced"] == 7
+    assert "defense.noop.interventions" not in snapshot
+    assert snapshot["mc.acts"] == system.controller.stats.acts
+
+
+def test_second_defense_with_the_same_name_is_rejected():
+    system = build_system(legacy_platform(scale=8))
+    first = _NoopDefense()
+    first.attach(system)
+    second = _NoopDefense()
+    with pytest.raises(ValueError, match="noop"):
+        second.attach(system)
+    assert system.defenses == [first]
+
+
+# The metrics keys a worker ships for each replication spec at its
+# defaults (E13 at 1,000 accesses), with their types.  Every consumer of
+# a worker's snapshot (the journal, CampaignResult.metrics, `repro
+# status`, perfbench's campaign counts) reads these names, so changing
+# one changes the journal format.
+_FLOATS = {
+    "cache.hit_rate", "mc.average_latency_ns", "mc.energy_proxy",
+    "mc.row_hit_rate",
+}
+_SYSTEM_KEYS = sorted(_FLOATS | {
+    "cache.addrmap.entries", "cache.addrmap.evictions",
+    "cache.addrmap.hits", "cache.addrmap.misses",
+    "cache.hits", "cache.misses",
+    "cache.tlb.evict", "cache.tlb.hit", "cache.tlb.miss",
+    "mc.act_domains", "mc.acts", "mc.dma_requests",
+    "mc.interrupt_handler_failures", "mc.neighbor_refresh_commands",
+    "mc.reads", "mc.ref_bursts", "mc.targeted_refreshes",
+    "mc.throttle_stalls_ns", "mc.uncore_moves", "mc.writes",
+})
+_EXPECTED_KEYS = {
+    "E4": _SYSTEM_KEYS,
+    "E10": sorted(_SYSTEM_KEYS + [
+        "defense.targeted-refresh.interrupts",
+        "defense.targeted-refresh.victim_refreshes",
+    ]),
+    "E13": _SYSTEM_KEYS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATION_SPECS))
+def test_captured_metrics_keep_their_keys_and_types(name):
+    spec = REPLICATION_SPECS[name]
+    if name == "E13":
+        spec = dataclasses.replace(spec, accesses=1000)
+    metrics = CapturedScenario(spec)(101)["metrics"]
+
+    assert len(_SYSTEM_KEYS) == 24
+    assert sorted(metrics) == _EXPECTED_KEYS[name]
+    for key, value in metrics.items():
+        assert type(value) is (float if key in _FLOATS else int), key

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.core.primitives import Primitive
+from repro.core.primitives import Primitive, PrimitiveSet
 from repro.hostos.allocator import AllocationPolicy
 from repro.sim import (
+    PLATFORMS,
     SystemConfig,
     ideal_platform,
     legacy_platform,
+    platform_config,
     proposed_platform,
 )
 
@@ -50,6 +52,22 @@ class TestPlatforms:
         config = proposed_platform(scale=8, seed=99)
         assert config.scale == 8
         assert config.seed == 99
+
+    def test_platform_config_resolves_every_name(self):
+        expected = {
+            "legacy": legacy_platform(scale=8),
+            "legacy+primitives": legacy_platform(scale=8).with_primitives(
+                PrimitiveSet.proposed()
+            ),
+            "proposed": proposed_platform(scale=8),
+            "ideal": ideal_platform(scale=8),
+        }
+        resolved = {name: platform_config(name, scale=8) for name in PLATFORMS}
+        assert resolved == expected
+
+    def test_platform_config_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown platform"):
+            platform_config("future")
 
 
 class TestWithers:
