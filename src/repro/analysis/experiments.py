@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks import (
     AdjacencyProber,
-    Attacker,
     AttackPlanner,
     EvasiveAttacker,
 )
@@ -32,16 +31,13 @@ from repro.analysis.scenarios import (
 from repro.analysis.tables import Table, render_series
 from repro.core.primitives import (
     MissingPrimitiveError,
-    Primitive,
     PrimitiveSet,
 )
-from repro.core.taxonomy import TABLE_1, MitigationClass
 from repro.defenses import (
     ALL_DEFENSES,
     AggressorRemapDefense,
     AnvilDefense,
     BankPartitionDefense,
-    BlockHammerDefense,
     BreakHammerDefense,
     CacheLineLockingDefense,
     GrapheneDefense,
@@ -50,7 +46,6 @@ from repro.defenses import (
     PracDefense,
     SubarrayIsolationDefense,
     TargetedRefreshDefense,
-    TwiceDefense,
     VendorTrr,
 )
 from repro.defenses.registry import (

@@ -9,9 +9,9 @@ differences in results come only from the knob under study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.attacks import Attacker, AttackPlan, AttackPlanner, AttackResult
+from repro.attacks import Attacker, AttackPlanner, AttackResult
 from repro.defenses.base import Defense
 from repro.sim import (
     Engine,

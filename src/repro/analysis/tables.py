@@ -9,7 +9,7 @@ diffed across runs and quoted in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Sequence
 
 
 @dataclass

@@ -30,7 +30,7 @@ Outputs feed two consumers: the subarray-isolation defense's remap audit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import DomainHandle, System

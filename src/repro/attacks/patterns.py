@@ -80,16 +80,23 @@ class AttackPlanner:
 
     def _index_attacker_rows(self) -> None:
         """Map each logical row holding attacker data to one attacker
-        *virtual* line inside it (the hammer handle)."""
-        virtual_lines = range(
-            self.attacker.pages * self.attacker.lines_per_page
-        )
-        physical_line = self.attacker.physical_line
-        line_to_ddr = self.system.mapper.line_to_ddr
+        *virtual* line inside it (the hammer handle): the first, in
+        virtual-line order.
+
+        This is the attacker's offline knowledge of the layout, not a
+        run of memory accesses: each page goes through the attacker's
+        page table and the map's closed-form ``frame_rows``, so the TLB
+        and the ``line_to_ddr`` memo are left as they were."""
+        attacker = self.attacker
+        table = self.system.mmu.table(attacker.asid)
+        frame_rows = self.system.mapper.frame_rows
+        lines_per_page = attacker.lines_per_page
         line_by_row = self._line_by_row
-        for virtual_line in virtual_lines:
-            address = line_to_ddr(physical_line(virtual_line))
-            line_by_row.setdefault(address.row_key(), virtual_line)
+        for page in range(attacker.pages):
+            first = page * lines_per_page
+            rows = frame_rows(table.translate(page).frame)
+            for row, offset in rows.items():
+                line_by_row.setdefault(row, first + offset)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,7 +12,7 @@ same defense code either works (primitive present) or cannot even attach
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable
 
 

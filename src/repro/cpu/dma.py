@@ -14,7 +14,6 @@ about these requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.mc.controller import CompletedRequest, MemoryController, MemoryRequest

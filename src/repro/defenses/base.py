@@ -82,24 +82,26 @@ class Defense(abc.ABC):
         Raises :class:`~repro.core.primitives.MissingPrimitiveError` when
         the platform lacks a required primitive, and ``ValueError`` when a
         defense of the same name is already attached to it (both would
-        report under ``defense.<name>.*``).
+        report under ``defense.<name>.*``).  Both checks run before
+        ``_wire``, so a rejected defense leaves no hook behind.
         """
         if self.attached:
             raise RuntimeError(f"{self.name} is already attached")
         system.primitives.require(*self.requires)
-        self.system = system
-        self._wire(system)
-        self.attached = True
         # the system tracks attached defenses; its metrics snapshot
         # reads their live counters (bare test mocks carry no list)
         registered = getattr(system, "defenses", None)
-        if registered is None:
-            return
-        if any(defense.name == self.name for defense in registered):
+        if registered is not None and any(
+            defense.name == self.name for defense in registered
+        ):
             raise ValueError(
                 f"a defense named {self.name!r} is already attached"
             )
-        registered.append(self)
+        self.system = system
+        self._wire(system)
+        self.attached = True
+        if registered is not None:
+            registered.append(self)
 
     @abc.abstractmethod
     def _wire(self, system: "System") -> None:

@@ -25,7 +25,7 @@ host on the enclave's behalf.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.primitives import Primitive
 from repro.core.taxonomy import DefenseTraits, MitigationClass

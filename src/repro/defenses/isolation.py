@@ -21,12 +21,12 @@ All three share the taxonomy caveat of §2.2: intra-domain disturbance is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
 from repro.core.primitives import Primitive
 from repro.core.taxonomy import DefenseTraits, MitigationClass
 from repro.defenses.base import Defense, DefenseCost
-from repro.hostos.allocator import AllocationPolicy, PageAllocator
+from repro.hostos.allocator import AllocationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import System

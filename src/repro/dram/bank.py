@@ -9,7 +9,7 @@ requests to one bank serialize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.dram.timing import DramTimings

@@ -32,9 +32,8 @@ row remap to attribute bit flips.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.dram.geometry import DdrAddress
 from repro.mc.address_map import AddressMapper, SubarrayIsolatedInterleaving
 
 RowKey = Tuple[int, int, int, int]
@@ -61,12 +60,14 @@ class PageAllocator:
     Allocation is first fit: the lowest-numbered admissible free frame
     wins.  The allocator is incremental, so a probe is a few lookups:
 
-    * each frame's rows (and, under bank partitioning, its banks) are
-      translated once and cached; only frames released by the
-      subarray-isolated mapper, which may place them elsewhere next
-      time, drop their entry;
+    * each frame's rows (and, under bank partitioning, its banks) come
+      from the mapper's closed-form ``frame_rows`` once and are cached;
+      only frames released by the subarray-isolated mapper, which may
+      place them elsewhere next time, drop their entry;
     * free frames are a one-byte-per-frame map, scanned in ascending
       order by ``bytearray.find`` (in C);
+    * under bank partitioning, a frame with a line in another domain's
+      bank sends the scan past every frame of that bank;
     * under guard rows, a per-row map of the domains with data within
       ``guard_radius`` rows (subarray-clipped, as
       :meth:`~repro.dram.geometry.DramGeometry.neighbors_within`) is kept
@@ -273,6 +274,7 @@ class PageAllocator:
         fallback = None
         free = self._free
         admissible = self._admissible
+        partition = self.policy is AllocationPolicy.BANK_PARTITION
         frame = free.find(1)
         while frame >= 0:
             if admissible(frame, asid):
@@ -282,7 +284,12 @@ class PageAllocator:
                     return self._take(frame, asid)
                 if fallback is None:
                     fallback = frame
-            frame = free.find(1, frame + 1)
+                frame += 1
+            elif partition:
+                frame = self._past_foreign_bank(frame, asid)
+            else:
+                frame += 1
+            frame = free.find(1, frame)
         if fallback is not None:
             return self._take(fallback, asid)
         raise OutOfMemoryError(
@@ -363,6 +370,18 @@ class PageAllocator:
         if self.policy is AllocationPolicy.GUARD_ROWS:
             return self._guard_admissible(frame, asid)
         raise AssertionError(f"unhandled policy {self.policy}")
+
+    def _past_foreign_bank(self, frame: int, asid: int) -> int:
+        """The first frame after the bank of ``frame`` that another
+        domain owns: no frame with a line in that bank is admissible,
+        so first fit jumps over them instead of probing each one.  The
+        policy only runs on the linear map (it refuses interleaving
+        maps), whose ``frames_of_bank`` is closed form."""
+        bank_owner = self._bank_owner
+        for bank in self._banks_of_frame(frame):
+            if bank_owner.get(bank, asid) != asid:
+                return self.mapper.frames_of_bank(bank).stop
+        raise AssertionError(f"frame {frame} has no foreign bank")
 
     def _guard_admissible(self, frame: int, asid: int) -> bool:
         """No row of ``frame`` may lie within ``guard_radius`` rows of a

@@ -8,8 +8,8 @@ the memory controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator
 
 
 @dataclass(frozen=True)

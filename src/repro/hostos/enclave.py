@@ -22,7 +22,7 @@ enclave's next touched access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
 from repro.dram.disturbance import BitFlip
 from repro.hostos.domains import TrustDomain

@@ -31,19 +31,24 @@ schemes are modelled, matching the design space of §4.1:
     (directly via ASID or indirectly via its knowledge of the map); the
     controller enforces the group placement.
 
-Each scheme has one forward map, ``_line_to_ddr_uncached``, which every
-caller reaches through the memoised :meth:`AddressMapper.line_to_ddr`
-(request paths, the hammer chain, the attack planner) or, for whole
-frames, through the memo-free :meth:`AddressMapper.frame_addresses`.
-All mappings are bijections between cache-line indices and DDR
-addresses, verified by property tests.
+Each scheme has one forward map, ``_line_to_ddr_uncached``, which
+requests and the hammer chain reach through the memoised
+:meth:`AddressMapper.line_to_ddr`, and one closed form for whole frames,
+:meth:`AddressMapper.frame_rows`, which the allocator, the attack planner
+and the row/bank/subarray queries use without translating each line.
+:meth:`AddressMapper.frame_addresses` translates a frame line by line and
+is the oracle the property tests hold ``frame_rows`` to.  All mappings
+are bijections between cache-line indices and DDR addresses, verified by
+property tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dram.geometry import DdrAddress, DramGeometry
+
+RowKey = Tuple[int, int, int, int]
 
 
 class AddressMapper:
@@ -80,10 +85,23 @@ class AddressMapper:
         self._bank_coords: List[tuple] = [
             geometry.bank_from_index(i) for i in range(self._banks)
         ]
+        self._bank_flat: Dict[tuple, int] = {
+            coords: i for i, coords in enumerate(self._bank_coords)
+        }
 
     # -- abstract -------------------------------------------------------
 
     def _line_to_ddr_uncached(self, line: int) -> DdrAddress:
+        raise NotImplementedError
+
+    def frame_rows(self, frame: int) -> Dict[RowKey, int]:
+        """Every row key the frame's lines touch, mapped to the offset of
+        the frame's first line in that row, in line order: what reading
+        ``row_key()`` off :meth:`frame_addresses` gives, computed per
+        row instead of per line and without the ``line_to_ddr`` memo.
+        Frame queries (allocator probes, the attack planner, row sets)
+        would fill the memo with lines no request touches and evict the
+        ones requests do."""
         raise NotImplementedError
 
     def ddr_to_line(self, address: DdrAddress) -> int:
@@ -143,32 +161,32 @@ class AddressMapper:
         return range(start, start + self.lines_per_page)
 
     def frame_addresses(self, frame: int) -> List[DdrAddress]:
-        """DDR coordinates of every line in ``frame``.
-
-        Translated directly, not through the ``line_to_ddr`` memo: frame
-        queries (allocator probes, capacity scans, row sets) would fill
-        the memo with lines no request touches and evict the ones
-        requests do.  Lazy placement of a never-assigned subarray frame
-        still happens, in ``_line_to_ddr_uncached``."""
+        """DDR coordinates of every line in ``frame``, translated one by
+        one through the forward map (not the memo): the per-line oracle
+        :meth:`frame_rows` is tested against.  Lazy placement of a
+        never-assigned subarray frame still happens, in
+        ``_line_to_ddr_uncached``."""
         to_ddr = self._line_to_ddr_uncached
         return [to_ddr(line) for line in self.lines_of_frame(frame)]
 
+    # The three sets below are comprehensions over ``frame_rows``, not
+    # ``set(dict)``: CPython presizes a set built from a dict, which
+    # would change its iteration order from that of a set filled line by
+    # line, and the allocator and the defenses iterate these sets.
+
     def banks_of_frame(self, frame: int) -> Set[int]:
         """Flat bank indices the frame's lines touch."""
-        return {
-            self.geometry.bank_index(addr) for addr in self.frame_addresses(frame)
-        }
+        bank_flat = self._bank_flat
+        return {bank_flat[row[:3]] for row in self.frame_rows(frame)}
 
     def rows_of_frame(self, frame: int) -> Set[tuple]:
         """Row keys the frame's lines touch."""
-        return {addr.row_key() for addr in self.frame_addresses(frame)}
+        return {row for row in self.frame_rows(frame)}
 
     def subarrays_of_frame(self, frame: int) -> Set[int]:
         """Subarray indices (bank-local) the frame's lines touch."""
-        return {
-            self.geometry.subarray_of_row(addr.row)
-            for addr in self.frame_addresses(frame)
-        }
+        per_subarray = self.geometry.rows_per_subarray
+        return {row[3] // per_subarray for row in self.frame_rows(frame)}
 
     def _check_line(self, line: int) -> None:
         if not 0 <= line < self.total_lines:
@@ -195,6 +213,31 @@ class LinearMapping(AddressMapper):
         channel, rank, bank = self._bank_coords[bank_flat]
         return DdrAddress(channel, rank, bank, row, column)
 
+    def frame_rows(self, frame: int) -> Dict[RowKey, int]:
+        # one entry per run of ``columns_per_row`` lines; the flat row
+        # index ``line // columns`` walks rows and then banks
+        self._check_frame(frame)
+        cols, rows = self._cols, self._rows
+        start = frame * self.lines_per_page
+        placed = {}
+        for flat_row in range(start // cols,
+                              (start + self.lines_per_page - 1) // cols + 1):
+            bank_flat, row = divmod(flat_row, rows)
+            placed[self._bank_coords[bank_flat] + (row,)] = max(
+                0, flat_row * cols - start
+            )
+        return placed
+
+    def frames_of_bank(self, bank_flat: int) -> range:
+        """Frames with at least one line in the flat bank ``bank_flat``
+        (a bank whose line count is not a multiple of the page shares a
+        frame with each neighbouring bank)."""
+        bank_lines = self._rows * self._cols
+        first = bank_flat * bank_lines
+        last = (first + bank_lines - 1) // self.lines_per_page
+        return range(first // self.lines_per_page,
+                     min(last + 1, self.total_frames))
+
     def ddr_to_line(self, address: DdrAddress) -> int:
         bank_flat = self.geometry.bank_index(address)
         rest = bank_flat * self._rows + address.row
@@ -214,6 +257,32 @@ class CachelineInterleaving(AddressMapper):
         row, column = divmod(rest, self._cols)
         channel, rank, bank = self._bank_coords[bank_flat]
         return DdrAddress(channel, rank, bank, row, column)
+
+    def frame_rows(self, frame: int) -> Dict[RowKey, int]:
+        # one entry per bank per row
+        start = frame * self.lines_per_page
+        banks, coords = self._banks, self._bank_coords
+        return {
+            coords[line % banks] + (row,): line - start
+            for row, heads in self._row_heads(frame)
+            for line in heads
+        }
+
+    def _row_heads(self, frame: int) -> Iterator[Tuple[int, range]]:
+        """Each row the frame's lines reach, in line order, with the
+        frame's first line in each bank of it: a row holds ``banks *
+        columns`` consecutive lines, and the bank repeats every
+        ``banks`` lines."""
+        self._check_frame(frame)
+        banks = self._banks
+        row_lines = banks * self._cols
+        line = frame * self.lines_per_page
+        end = line + self.lines_per_page
+        while line < end:
+            row = line // row_lines
+            stop = min(end, (row + 1) * row_lines)
+            yield row, range(line, min(stop, line + banks))
+            line = stop
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         bank_flat = self.geometry.bank_index(address)
@@ -245,6 +314,24 @@ class PermutationInterleaving(CachelineInterleaving):
             bank_flat = (bank_flat + row) % banks
         channel, rank, bank = self._bank_coords[bank_flat]
         return DdrAddress(channel, rank, bank, row, column)
+
+    def frame_rows(self, frame: int) -> Dict[RowKey, int]:
+        # the cache-line form with each row's permutation applied: the
+        # permutation is a bijection on the banks of one row, so the
+        # first line in each bank stays the same
+        start = frame * self.lines_per_page
+        banks, coords = self._banks, self._bank_coords
+        if self._xor:
+            return {
+                coords[(line % banks ^ row) % banks] + (row,): line - start
+                for row, heads in self._row_heads(frame)
+                for line in heads
+            }
+        return {
+            coords[(line + row) % banks] + (row,): line - start
+            for row, heads in self._row_heads(frame)
+            for line in heads
+        }
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         banks = self._banks
@@ -403,6 +490,27 @@ class SubarrayIsolatedInterleaving(AddressMapper):
             + row_in_subarray,
             column,
         )
+
+    def frame_rows(self, frame: int) -> Dict[RowKey, int]:
+        # one entry per bank per row of the slot: ``banks`` consecutive
+        # offsets share a packed index, and a row holds ``columns``
+        # packed indices
+        self._check_frame(frame)
+        if frame not in self._frame_group:
+            self._place(frame, frame % self._default_groups)
+        slot = self._frame_slot[frame]
+        first_row = self._frame_group[frame] * self._rows_per_subarray
+        banks, cols, coords = self._banks, self._cols, self._bank_coords
+        packed = slot * self.lines_per_bank_per_frame
+        placed = {}
+        offset = 0
+        while offset < self.lines_per_page:
+            row_in_subarray = (packed + offset // banks) // cols
+            row = first_row + row_in_subarray
+            for head in range(offset, offset + banks):
+                placed[coords[(head + slot) % banks] + (row,)] = head
+            offset = ((row_in_subarray + 1) * cols - packed) * banks
+        return placed
 
     def ddr_to_line(self, address: DdrAddress) -> int:
         group = self.geometry.subarray_of_row(address.row)

@@ -12,9 +12,8 @@ would — with the *virtual* buffer, not a stale physical address).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.system import DomainHandle, System

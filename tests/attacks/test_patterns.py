@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis.scenarios import build_scenario
 from repro.attacks import AttackPlan, AttackPlanner
+from repro.core.primitives import PrimitiveSet
+from repro.mc.address_map import MAPPING_SCHEMES
 from repro.sim import legacy_platform, proposed_platform
 
 
@@ -88,6 +90,52 @@ class TestPlanShapes:
         )
         with pytest.raises(ValueError):
             planner.plan(contiguous_scenario.victim, "zigzag")
+
+
+def _per_line_row_index(system, attacker):
+    """The row index as the planner once built it: every attacker line
+    through the TLB and the ``line_to_ddr`` memo, the first line per
+    row kept."""
+    line_by_row = {}
+    for virtual_line in range(attacker.pages * attacker.lines_per_page):
+        physical = attacker.physical_line(virtual_line)
+        row = system.mapper.line_to_ddr(physical).row_key()
+        line_by_row.setdefault(row, virtual_line)
+    return line_by_row
+
+
+class TestAttackerRowIndex:
+    @pytest.mark.parametrize("scheme", sorted(MAPPING_SCHEMES))
+    def test_matches_the_per_line_walk_and_leaves_caches_alone(self, scheme):
+        config = (
+            legacy_platform(scale=64)
+            .with_primitives(PrimitiveSet.proposed())
+            .with_mapping(scheme)
+        )
+        scenario = build_scenario(
+            config, interleaved_allocation=True,
+            victim_pages=40, attacker_pages=40,
+        )
+        system, attacker = scenario.system, scenario.attacker
+        # a page moved after allocation: the page table, not the
+        # handle's frame list, says where it lives
+        [spare] = system.allocator.allocate(attacker.asid, 1)
+        system.mmu.remap_page(attacker.asid, 3, spare)
+        for virtual_line in (0, 70, 200):
+            system.core.load(attacker.asid, virtual_line, 0)
+        tlb = system.mmu.tlb
+        before = (list(tlb._entries.items()), tlb.hits, tlb.misses,
+                  tlb.evictions)
+        memo = system.mapper.memo_counters()
+
+        planner = AttackPlanner(system, attacker)
+
+        assert (list(tlb._entries.items()), tlb.hits, tlb.misses,
+                tlb.evictions) == before
+        assert system.mapper.memo_counters() == memo
+        assert list(planner._line_by_row.items()) == list(
+            _per_line_row_index(system, attacker).items()
+        )
 
 
 class TestIsolationDeniesPlans:

@@ -71,7 +71,8 @@ class TestPrac:
     def test_claims_the_device_hook(self, legacy_config):
         system = build_system(legacy_config)
         PracDefense().attach(system)
-        with pytest.raises(RuntimeError):
+        # a second PRAC is refused by name before it reaches the hook
+        with pytest.raises(ValueError):
             PracDefense().attach(system)
         with pytest.raises(RuntimeError):
             VendorTrr().attach(system)

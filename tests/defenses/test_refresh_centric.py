@@ -116,6 +116,23 @@ class TestPara:
         with pytest.raises(ValueError):
             ParaDefense(refresh_radius=0)
 
+    def test_duplicate_name_is_rejected_before_wiring(self, legacy_config):
+        """A second PARA on one system raises before it hooks the
+        controller: one observer stays, and the rejected instance is
+        not attached."""
+        system = build_system(legacy_config)
+        first = ParaDefense()
+        first.attach(system)
+        observers = list(system.controller._act_observers)
+        assert len(observers) == 1
+        rejected = ParaDefense()
+        with pytest.raises(ValueError):
+            rejected.attach(system)
+        assert system.controller._act_observers == observers
+        assert rejected.attached is False
+        assert rejected.system is None
+        assert system.defenses == [first]
+
 
 class TestGraphene:
     def test_stops_attack_when_sized(self, legacy_config):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.scenarios import build_scenario, run_attack
-from repro.defenses import SamplingTrr
+from repro.defenses import SamplingTrr, VendorTrr
 from repro.sim import build_system, legacy_platform
 
 from tests.defenses.conftest import attack_with
@@ -41,7 +41,11 @@ class TestMechanics:
     def test_exclusive_mitigation_slot(self, legacy_config):
         system = build_system(legacy_config)
         SamplingTrr().attach(system)
+        # another in-DRAM mitigation finds the device's slot taken; a
+        # second sampler is refused by name before it reaches the slot
         with pytest.raises(RuntimeError):
+            VendorTrr().attach(system)
+        with pytest.raises(ValueError):
             SamplingTrr().attach(system)
 
 

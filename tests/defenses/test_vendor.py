@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.defenses.vendor import VendorTrr
+from repro.defenses.vendor import SamplingTrr, VendorTrr
 from repro.dram.geometry import DdrAddress
 
 from tests.defenses.conftest import attack_with
@@ -78,7 +78,11 @@ class TestScenario:
 
         system = build_system(legacy_config)
         VendorTrr().attach(system)
+        # another in-DRAM mitigation finds the module's slot taken; a
+        # second TRR is refused by name before it reaches the slot
         with pytest.raises(RuntimeError):
+            SamplingTrr().attach(system)
+        with pytest.raises(ValueError):
             VendorTrr().attach(system)
 
     def test_cost_scales_with_trackers(self, legacy_config):

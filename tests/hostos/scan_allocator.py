@@ -1,11 +1,15 @@
 """Reference allocator: the original full-scan ``PageAllocator``.
 
-Every allocation sorts the free set, every probe re-translates the
-frame and every capacity query re-checks every frame: the simple form
-of the policies, kept as the reference.  The differential test drives
-it and the incremental :class:`~repro.hostos.allocator.PageAllocator`
-with the same scripts and asserts they choose the same frames, because
-those choices decide every isolation row of EXPERIMENTS.md.
+Every allocation sorts the free set and probes every free frame in
+turn, every probe re-derives the frame's banks, and every capacity
+query re-checks every frame: the simple form of the policies, kept as
+the reference.  Rows and banks come from the mapper's per-line oracle,
+``frame_addresses``, never from its closed-form ``frame_rows``, so the
+reference stays independent of the code under test.  The differential
+test drives it and the incremental
+:class:`~repro.hostos.allocator.PageAllocator` with the same scripts and
+asserts they choose the same frames, because those choices decide every
+isolation row of EXPERIMENTS.md.
 """
 
 from repro.hostos.allocator import AllocationPolicy, OutOfMemoryError
@@ -23,12 +27,22 @@ class ScanAllocator:
         self._row_domains = {}
         self._frame_rows = {}
 
-    def _rows_of_frame(self, frame):
+    def rows_of_frame(self, frame):
         rows = self._frame_rows.get(frame)
         if rows is None:
-            rows = frozenset(self.mapper.rows_of_frame(frame))
+            rows = frozenset(
+                address.row_key()
+                for address in self.mapper.frame_addresses(frame)
+            )
             self._frame_rows[frame] = rows
         return rows
+
+    def _banks_of_frame(self, frame):
+        bank_index = self.mapper.geometry.bank_index
+        return {
+            bank_index(address)
+            for address in self.mapper.frame_addresses(frame)
+        }
 
     def allocate(self, asid, count=1, avoid_rows=None):
         frames = []
@@ -46,7 +60,7 @@ class ScanAllocator:
         if asid is None:
             raise KeyError(frame)
         self._free.add(frame)
-        rows = self._rows_of_frame(frame)
+        rows = self.rows_of_frame(frame)
         self._frame_rows.pop(frame, None)
         if isinstance(self.mapper, SubarrayIsolatedInterleaving):
             self.mapper.release_frame(frame)
@@ -56,7 +70,7 @@ class ScanAllocator:
                 bank
                 for other, owner in self._owner.items()
                 if owner == asid
-                for bank in self.mapper.banks_of_frame(other)
+                for bank in self._banks_of_frame(other)
             }
             for bank in list(self._bank_owner):
                 if self._bank_owner[bank] == asid and bank not in remaining:
@@ -69,7 +83,7 @@ class ScanAllocator:
         asid = self._owner.pop(frame, None)
         if asid is None:
             raise KeyError(frame)
-        self._retract(self._rows_of_frame(frame), asid)
+        self._retract(self.rows_of_frame(frame), asid)
 
     def _retract(self, rows, asid):
         for row in rows:
@@ -103,7 +117,7 @@ class ScanAllocator:
             if not self._admissible(frame, asid):
                 continue
             if avoid_rows and any(
-                row in avoid_rows for row in self._rows_of_frame(frame)
+                row in avoid_rows for row in self.rows_of_frame(frame)
             ):
                 if fallback is None:
                     fallback = frame
@@ -119,9 +133,9 @@ class ScanAllocator:
         self._free.discard(frame)
         self._owner[frame] = asid
         if self.policy is AllocationPolicy.BANK_PARTITION:
-            for bank in self.mapper.banks_of_frame(frame):
+            for bank in self._banks_of_frame(frame):
                 self._bank_owner[bank] = asid
-        for row in self._rows_of_frame(frame):
+        for row in self.rows_of_frame(frame):
             counts = self._row_domains.setdefault(row, {})
             counts[asid] = counts.get(asid, 0) + 1
         return frame
@@ -137,7 +151,7 @@ class ScanAllocator:
         if self.policy is AllocationPolicy.BANK_PARTITION:
             return all(
                 self._bank_owner.get(bank, asid) == asid
-                for bank in self.mapper.banks_of_frame(frame)
+                for bank in self._banks_of_frame(frame)
             )
         return self._guard_admissible(frame, asid)
 

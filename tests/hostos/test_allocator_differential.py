@@ -5,8 +5,12 @@ Both allocators run the same scripts of ``allocate`` (with and without
 frames freed), each on its own mapper, under every policy and every
 mapper that policy accepts.  After every step they must have returned
 the same frames (or raised the same error) and agree on free frames,
-ownership, the domains in every row touched so far, capacity overhead
-and, for the subarray mapper, frame placement.
+ownership, the rows of every owned frame (closed form against the
+reference's per-line translation), the domains in every row touched so
+far, capacity overhead and, for the subarray mapper, frame placement.
+The reference probes frame by frame from per-line translations, so this
+pins the mappers' closed-form frame rows and bank partitioning's jump
+past another domain's bank.
 """
 
 import pytest
@@ -23,12 +27,16 @@ from repro.mc.address_map import (
 )
 from tests.hostos.scan_allocator import ScanAllocator
 
-# 32 frames each: pages spanning two rows, and two pages per row
 GEOMETRIES = (
+    # 32 frames each: pages spanning two rows, and two pages per row
     DramGeometry(banks_per_rank=4, subarrays_per_bank=2,
                  rows_per_subarray=8, columns_per_row=32),
     DramGeometry(banks_per_rank=2, subarrays_per_bank=2,
                  rows_per_subarray=4, columns_per_row=128),
+    # 18 frames of 4.5 per bank: under the linear map frames 4 and 13
+    # straddle two banks
+    DramGeometry(banks_per_rank=4, subarrays_per_bank=2,
+                 rows_per_subarray=3, columns_per_row=48),
 )
 
 # (policy, mapper, guard radius)
@@ -113,8 +121,9 @@ def test_incremental_allocator_matches_scan_reference(
             frames = new.frames_of(asid)
             assert frames == ref.frames_of(asid)
             for frame in frames:
-                rows = new_mapper.rows_of_frame(frame)
-                assert rows == ref_mapper.rows_of_frame(frame)
+                rows = ref.rows_of_frame(frame)
+                assert new_mapper.rows_of_frame(frame) == rows
+                assert new.rows_of_frame(frame) == rows
                 touched.update(rows)
         assert new.free_frames == ref.free_frames
         for row in touched:
